@@ -1,8 +1,8 @@
 """Exact cylindrical algebraic decomposition over the rationals (dim <= 3).
 
 Projection uses a reduced set (coefficient chain, discriminants, pairwise
-resultants) over an irreducible factor basis, with an optional full
-subresultant-based set as fallback.  Lifting is exact: sector samples are
+resultants) over an irreducible factor basis, falling back to the full
+subresultant-based set wherever a leading coefficient chain degenerates.  Lifting is exact: sector samples are
 rational, section samples are real algebraic numbers in field towers from
 realalg.  Every sign decision goes through exact arithmetic.
 """
@@ -13,8 +13,6 @@ import itertools
 import math
 from fractions import Fraction
 from functools import reduce
-
-import sympy as sp
 
 from .formula import (
     And,
@@ -29,7 +27,14 @@ from .formula import (
     resolve_named,
 )
 from .fd import fd_of_formula
-from .poly import Polynomial
+from .poly import (
+    Polynomial,
+    discriminant,
+    factor,
+    factor_univariate,
+    resultant,
+    subresultant_coeffs,
+)
 from .realalg import (
     QQ,
     Num,
@@ -66,24 +71,6 @@ DEFAULT_CEILING = 3
 # ---------------------------------------------------------------------------
 # basic types
 # ---------------------------------------------------------------------------
-
-
-class IsolatingInterval:
-    """A point or an open interval isolating one real root of a polynomial."""
-
-    def __init__(self, poly, lo, hi, exact=None):
-        self.poly = poly
-        self.lo = Fraction(lo)
-        self.hi = Fraction(hi)
-        self.exact = None if exact is None else Fraction(exact)
-
-    def is_point(self):
-        return self.exact is not None
-
-    def __repr__(self):
-        if self.is_point():
-            return f"IsolatingInterval(point {self.exact})"
-        return f"IsolatingInterval(({self.lo}, {self.hi}))"
 
 
 class Cell:
@@ -168,13 +155,7 @@ def factor_basis(polys, variables):
     for p in polys:
         if p.is_zero():
             raise CADError("zero polynomial in input")
-        if p.is_constant():
-            continue
-        _, factors = sp.factor_list(p.to_sympy())
-        for fac, _ in factors:
-            q = Polynomial.from_sympy(fac, variables).primitive()
-            if q.is_constant():
-                continue
+        for q in factor(p.extend(variables)):
             if q not in out:
                 out.append(q)
     return out
@@ -197,19 +178,14 @@ def project_polys(polys, variables=None, method="mccallum"):
     if len(variables) < 2:
         raise CADError("projection needs at least two variables")
     basis = factor_basis(polys, variables)
-    last = sp.Symbol(variables[-1])
-    rest = variables[:-1]
-    active = [q for q in basis if q.degree_in(variables[-1]) >= 1]
+    last = variables[-1]
+    active = [q for q in basis if q.degree_in(last) >= 1]
     passthrough = [q.coeffs_in_last()[0] for q in basis
-                   if q.degree_in(variables[-1]) == 0]
+                   if q.degree_in(last) == 0]
     out = []
 
-    def add(item):
-        if isinstance(item, Polynomial):
-            q = item
-        else:
-            q = Polynomial.from_sympy(sp.expand(item), rest)
-        if q.is_zero() or q.is_constant():
+    def add(q):
+        if q.is_constant():
             return
         q = q.primitive()
         if q not in out:
@@ -230,27 +206,29 @@ def project_polys(polys, variables=None, method="mccallum"):
             add(c)
         if not chain_ok and method == "mccallum":
             raise ProjectionDegeneracy(q)
-        qs = sp.Poly(q.to_sympy(), last)
-        if qs.degree() >= 2:
-            add(sp.discriminant(qs.as_expr(), last))
+        if q.degree_in(last) >= 2:
+            add(discriminant(q, last))
         if method == "collins":
-            dq = qs.diff(last)
-            if not dq.is_zero:
-                for s in sp.subresultants(qs.as_expr(), dq.as_expr(), last):
-                    for c in sp.Poly(s, last).all_coeffs():
-                        add(c)
+            for c in subresultant_coeffs(q, q.derivative(last), last):
+                add(c)
 
     for i in range(len(active)):
         for j in range(i + 1, len(active)):
-            ei = active[i].to_sympy()
-            ej = active[j].to_sympy()
-            add(sp.resultant(ei, ej, last))
+            add(resultant(active[i], active[j], last))
             if method == "collins":
-                for s in sp.subresultants(ei, ej, last):
-                    for c in sp.Poly(s, last).all_coeffs():
-                        add(c)
+                for c in subresultant_coeffs(active[i], active[j], last):
+                    add(c)
 
     return out
+
+
+def _project(polys, variables, method):
+    """project_polys, falling back to the Collins set when the McCallum set
+    meets a nullified leading coefficient chain."""
+    try:
+        return project_polys(polys, variables, method=method)
+    except ProjectionDegeneracy:
+        return project_polys(polys, variables, method="collins")
 
 
 # ---------------------------------------------------------------------------
@@ -269,41 +247,14 @@ def _root_handles(field, up, fast=False):
     """
     if field is not QQ or fast:
         return [RootHandle(field, e) for e in isolate_roots(field, up)]
-    x = sp.Symbol("_t")
-    expr = sp.Add(*[sp.Rational(c.numerator, c.denominator) * x**i
-                    for i, c in enumerate(up)])
     handles = []
-    _, factors = sp.factor_list(expr, x)
-    for fac, _ in factors:
-        p = sp.Poly(fac, x)
-        if p.degree() == 1:
-            a, b = (sp.Rational(c) for c in p.all_coeffs())
-            r = -Fraction(b.p, b.q) / Fraction(a.p, a.q)
-            handles.append(RootHandle(QQ, ("rat", r)))
-        elif p.degree() >= 2:
-            coeffs = [Fraction(sp.Rational(c).p, sp.Rational(c).q)
-                      for c in reversed(p.all_coeffs())]
+    for coeffs in factor_univariate(up):
+        if len(coeffs) == 2:
+            b, a = coeffs
+            handles.append(RootHandle(QQ, ("rat", -b / a)))
+        else:
             handles.extend(RootHandle(QQ, e) for e in isolate_roots(QQ, coeffs))
     return handles
-
-
-def isolate_real_roots(p: Polynomial):
-    """Isolating intervals for the distinct real roots of a univariate
-    polynomial, in increasing order; rational roots come back as points."""
-    if p.is_zero():
-        raise CADError("cannot isolate roots of the zero polynomial")
-    if len(p.variables) != 1:
-        raise CADError("isolate_real_roots expects a univariate polynomial")
-    up = [c.constant_value() for c in p.coeffs_in_last()]
-    groups = sort_roots(_root_handles(QQ, up))
-    out = []
-    for group in groups:
-        h = group[0]
-        if h.is_rational():
-            out.append(IsolatingInterval(p, h.exact, h.exact, exact=h.exact))
-        else:
-            out.append(IsolatingInterval(p, h.lo, h.hi))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -410,15 +361,8 @@ def _section_value(field, handle):
         return Num(ext, ext.gen)
     if field is QQ and pdeg(handle.sqf) > 2:
         # pick the irreducible factor this root actually satisfies
-        x = sp.Symbol("_t")
-        expr = sp.Add(*[sp.Rational(c.numerator, c.denominator) * x**i
-                        for i, c in enumerate(handle.sqf)])
-        _, factors = sp.factor_list(expr, x)
-        for fac, _ in factors:
-            p = sp.Poly(fac, x)
-            coeffs = [Fraction(sp.Rational(c).p, sp.Rational(c).q)
-                      for c in reversed(p.all_coeffs())]
-            if len(coeffs) < 2 or not handle.vanishes(coeffs):
+        for coeffs in factor_univariate(handle.sqf):
+            if not handle.vanishes(coeffs):
                 continue
             if len(coeffs) == 2:
                 return Num(field, field.from_fraction(-coeffs[0] / coeffs[1]))
@@ -497,7 +441,7 @@ def _cad_levels(basis, variables, projection, inputs, provenance):
         d = CellDecomposition(variables, basis, cells, None, inputs, provenance)
         d.stacks[()] = stack
         return d
-    proj = project_polys(basis, variables, method=projection) if basis else []
+    proj = _project(basis, variables, projection) if basis else []
     base = _cad_levels(
         factor_basis(proj, variables[:-1]) if proj else [],
         variables[:-1], projection, proj, None)
@@ -862,10 +806,7 @@ def _test_points(psi, point, ceiling):
     while full[-1] != var:
         nonconst = [p for p in work if not p.is_constant()]
         if nonconst:
-            try:
-                work = project_polys(nonconst, tuple(full))
-            except ProjectionDegeneracy:
-                work = project_polys(nonconst, tuple(full), method="collins")
+            work = _project(nonconst, tuple(full), "mccallum")
         else:
             work = []
         full = full[:-1]
@@ -966,12 +907,7 @@ def compatible_decomposition(sets, variables=None, env=None,
             while len(order) > len(variables):
                 nonconst = [p for p in work if not p.is_constant()]
                 if nonconst:
-                    try:
-                        work = project_polys(nonconst, tuple(order),
-                                             method=projection)
-                    except ProjectionDegeneracy:
-                        work = project_polys(nonconst, tuple(order),
-                                             method="collins")
+                    work = _project(nonconst, tuple(order), projection)
                 else:
                     work = []
                 order = order[:-1]

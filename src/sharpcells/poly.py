@@ -3,14 +3,25 @@
 Polynomials carry an explicit ordered variable tuple; the exponent tuples in
 the term map always have the same length as the variable tuple.  The zero
 polynomial has an empty term map and total degree 0 by convention.
+
+This module is the library's only boundary to sympy.  Factoring,
+discriminants, resultants and subresultants run on sympy's dense integer
+polynomials over ZZ; no sympy expression is ever built.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-import sympy as sp
+from sympy.polys.densebasic import dmp_from_dict, dmp_to_dict
+from sympy.polys.domains import ZZ
+from sympy.polys.euclidtools import (
+    dmp_discriminant,
+    dmp_resultant,
+    dmp_subresultants,
+)
+from sympy.polys.factortools import dmp_factor_list, dup_factor_list
 
 
 class Polynomial:
@@ -226,47 +237,10 @@ class Polynomial:
         """
         if not self.terms:
             return self
-        denom = 1
-        for c in self.terms.values():
-            denom = denom * c.denominator // gcd(denom, c.denominator)
-        num = 0
-        for c in self.terms.values():
-            num = gcd(num, abs(c.numerator * denom // c.denominator))
-        scale = Fraction(denom, num)
-        lead = self.terms[max(self.terms)]
-        if lead < 0:
-            scale = -scale
-        return Polynomial(
-            self.variables, {e: c * scale for e, c in self.terms.items()}
-        )
-
-    # -- sympy bridge ------------------------------------------------------
-
-    def to_sympy(self):
-        syms = sp.symbols(self.variables) if self.variables else ()
-        if isinstance(syms, sp.Symbol):
-            syms = (syms,)
-        expr = sp.Integer(0)
-        for expo, coeff in self.terms.items():
-            term = sp.Rational(coeff.numerator, coeff.denominator)
-            for s, e in zip(syms, expo):
-                term *= s**e
-            expr += term
-        return expr
-
-    @classmethod
-    def from_sympy(cls, expr, variables):
-        variables = tuple(variables)
-        syms = [sp.Symbol(v) for v in variables]
-        poly = sp.Poly(sp.expand(expr), *syms) if syms else None
-        terms = {}
-        if poly is None:
-            c = sp.Rational(expr)
-            return cls.constant(Fraction(c.p, c.q), variables)
-        for expo, coeff in poly.terms():
-            c = sp.Rational(coeff)
-            terms[tuple(expo)] = Fraction(c.p, c.q)
-        return cls(variables, terms)
+        ints = _integers(self.terms.values())
+        g = gcd(*ints) if self.terms[max(self.terms)] > 0 else -gcd(*ints)
+        return Polynomial(self.variables,
+                          {e: c // g for e, c in zip(self.terms, ints)})
 
     # -- printing ----------------------------------------------------------
 
@@ -304,3 +278,87 @@ def _frac_str(c: Fraction) -> str:
     if c.denominator == 1:
         return str(c.numerator)
     return f"{c.numerator}/{c.denominator}"
+
+
+# ---------------------------------------------------------------------------
+# exact algebra through sympy's dense ZZ polynomials
+# ---------------------------------------------------------------------------
+# Denominators are cleared on the way in, so a discriminant or resultant is
+# exact up to a nonzero rational factor; callers normalize with .primitive().
+
+
+def _integers(coeffs):
+    """Fractions scaled by their common denominator, as ints."""
+    coeffs = list(coeffs)
+    denom = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (denom // c.denominator) for c in coeffs]
+
+
+def _to_dense(p, order):
+    """p as a dense ZZ polynomial over the variables of order, outermost
+    first."""
+    pos = [p.variables.index(v) for v in order]
+    terms = zip((tuple(e[i] for i in pos) for e in p.terms),
+                _integers(p.terms.values()))
+    return dmp_from_dict({e: ZZ(c) for e, c in terms}, len(order) - 1, ZZ)
+
+
+def _from_dense(f, order):
+    if not order:
+        return Polynomial.constant(int(f), ())
+    return Polynomial(order, {e: int(c) for e, c in
+                              dmp_to_dict(f, len(order) - 1).items()})
+
+
+def _eliminating(var, *polys):
+    """The variables other than var, and the polynomials in dense form with
+    var moved to the front."""
+    rest = tuple(v for v in polys[0].variables if v != var)
+    return rest, [_to_dense(p, (var,) + rest) for p in polys]
+
+
+def _in_order(factors):
+    # by degree in the outermost variable, multiplicity, then coefficients:
+    # the order sympy's factor_list gives for the same variable order
+    ordered = sorted(factors, key=lambda fk: (len(fk[0]), fk[1], fk[0]))
+    return [f for f, _ in ordered]
+
+
+def factor(p: Polynomial):
+    """Distinct nonconstant irreducible factors of p over the rationals, each
+    integer-primitive with positive leading coefficient."""
+    if p.is_constant():
+        return []
+    _, factors = dmp_factor_list(_to_dense(p, p.variables),
+                                 len(p.variables) - 1, ZZ)
+    return [_from_dense(f, p.variables).primitive()
+            for f in _in_order(factors)]
+
+
+def factor_univariate(coeffs):
+    """Irreducible factors of a nonzero univariate polynomial over the
+    rationals; coefficient lists of Fractions indexed by degree."""
+    dense = [ZZ(c) for c in reversed(_integers(coeffs))]
+    _, factors = dup_factor_list(dense, ZZ)
+    return [[Fraction(int(c)) for c in reversed(f)]
+            for f in _in_order(factors)]
+
+
+def discriminant(p: Polynomial, var):
+    """Discriminant of p with respect to var, in the remaining variables."""
+    rest, (f,) = _eliminating(var, p)
+    return _from_dense(dmp_discriminant(f, len(rest), ZZ), rest)
+
+
+def resultant(p: Polynomial, q: Polynomial, var):
+    """Resultant of p and q with respect to var, in the remaining variables."""
+    rest, (f, g) = _eliminating(var, p, q)
+    return _from_dense(dmp_resultant(f, g, len(rest), ZZ), rest)
+
+
+def subresultant_coeffs(p: Polynomial, q: Polynomial, var):
+    """Every coefficient in var of every member of the subresultant PRS of
+    p and q, as polynomials in the remaining variables."""
+    rest, (f, g) = _eliminating(var, p, q)
+    return [_from_dense(c, rest)
+            for s in dmp_subresultants(f, g, len(rest), ZZ) for c in s]

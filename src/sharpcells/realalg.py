@@ -188,15 +188,14 @@ def root_bound(field, p):
     p = ptrim(field, p)
     if pdeg(p) < 1:
         return Fraction(1)
-    lo, hi = field.approx(p[-1], 8)
-    lead = min(abs(lo), abs(hi))
-    while lead == 0:  # refine until the leading coeff bounds away from 0
-        prec = 16
-        lo, hi = field.approx(p[-1], prec)
-        lead = min(abs(lo), abs(hi))
+    prec = 8
+    lo, hi = field.approx(p[-1], prec)
+    while lo <= 0 <= hi:  # refine until the interval excludes 0
         prec *= 2
         if prec > 2**16:
             raise RealAlgebraError("cannot bound leading coefficient away from 0")
+        lo, hi = field.approx(p[-1], prec)
+    lead = min(abs(lo), abs(hi))
     top = Fraction(0)
     for c in p[:-1]:
         lo, hi = field.approx(c, 8)

@@ -15,8 +15,6 @@ import json
 import random
 from fractions import Fraction
 
-import numpy as np
-
 from .cad import (
     CADError,
     DEFAULT_CEILING,
@@ -337,6 +335,7 @@ def connected_components(X: Formula, env=None, ceiling=DEFAULT_CEILING,
 
 
 def _poly_on_grid(poly, grids):
+    import numpy as np
     vals = np.zeros_like(grids[0])
     for expo, coeff in poly.terms.items():
         term = np.full_like(grids[0], float(coeff))
@@ -355,6 +354,7 @@ def grid_components(X: Formula, lo=-5, hi=5, step=Fraction(1, 200)) -> int:
     equality atoms are thickened to a small band, so inputs should keep
     their features well above the resolution.
     """
+    import numpy as np
     if not is_quantifier_free(X):
         raise TopologyError("grid oracle needs a quantifier-free formula")
     variables = X.free_vars()
@@ -427,6 +427,7 @@ def check_component_bound(family, cap, env=None, ceiling=DEFAULT_CEILING,
     report records whether its cells drop in dimension and how many
     components of the set it meets.
     """
+    import numpy as np
     if not family:
         raise TopologyError("empty family")
     counts = {}

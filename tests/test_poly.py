@@ -1,15 +1,46 @@
-"""Polynomial arithmetic against a sympy oracle plus structural checks."""
+"""Polynomial arithmetic against a sympy oracle plus structural checks.
+
+The library reaches sympy only through dense ZZ polynomials; the sympy
+expression API appears here alone, as the reference.
+"""
 
 import random
 from fractions import Fraction
 
 import pytest
 import sympy as sp
+from hypothesis import given, settings, strategies as st
 
-from sharpcells.poly import Polynomial
+from sharpcells.cad import ProjectionDegeneracy, project_polys
+from sharpcells.poly import (
+    Polynomial,
+    discriminant,
+    factor,
+    factor_univariate,
+    resultant,
+)
 from sharpcells.parser import parse_poly
 
 VARS = ("x", "y", "z")
+
+
+def to_expr(p):
+    syms = sp.symbols(p.variables)
+    expr = sp.Integer(0)
+    for expo, coeff in p.terms.items():
+        term = sp.Rational(coeff.numerator, coeff.denominator)
+        for s, e in zip(syms, expo):
+            term *= s**e
+        expr += term
+    return expr
+
+
+def from_expr(expr, variables):
+    if not variables:
+        return Polynomial.constant(Fraction(str(sp.Rational(expr))), ())
+    poly = sp.Poly(sp.expand(expr), *sp.symbols(variables))
+    return Polynomial(variables, {
+        tuple(e): Fraction(str(sp.Rational(c))) for e, c in poly.terms()})
 
 
 def random_poly(rng, nterms=5, maxdeg=4):
@@ -26,12 +57,12 @@ def test_ring_ops_match_sympy():
         p = random_poly(rng)
         q = random_poly(rng)
         for ours, theirs in [
-            (p + q, p.to_sympy() + q.to_sympy()),
-            (p - q, p.to_sympy() - q.to_sympy()),
-            (p * q, p.to_sympy() * q.to_sympy()),
-            (p ** 2, p.to_sympy() ** 2),
+            (p + q, to_expr(p) + to_expr(q)),
+            (p - q, to_expr(p) - to_expr(q)),
+            (p * q, to_expr(p) * to_expr(q)),
+            (p ** 2, to_expr(p) ** 2),
         ]:
-            assert ours == Polynomial.from_sympy(theirs, VARS)
+            assert ours == from_expr(theirs, VARS)
 
 
 def test_eval_matches_sympy():
@@ -41,7 +72,8 @@ def test_eval_matches_sympy():
         p = random_poly(rng)
         point = [Fraction(rng.randrange(-6, 7), rng.randrange(1, 4))
                  for _ in VARS]
-        expected = p.to_sympy().subs(dict(zip(syms, [sp.Rational(c) for c in point])))
+        expected = to_expr(p).subs(
+            dict(zip(syms, [sp.Rational(c) for c in point])))
         assert p.eval(point) == Fraction(sp.Rational(expected))
 
 
@@ -50,7 +82,7 @@ def test_derivative_matches_sympy():
     for _ in range(10):
         p = random_poly(rng)
         d = p.derivative("y")
-        assert d == Polynomial.from_sympy(sp.diff(p.to_sympy(), sp.Symbol("y")), VARS)
+        assert d == from_expr(sp.diff(to_expr(p), sp.Symbol("y")), VARS)
 
 
 def test_zero_conventions():
@@ -95,3 +127,126 @@ def test_primitive_normalization():
     prim = p.primitive()
     assert prim == parse_poly("x^2 - 2*x", ("x",))
     assert (-p).primitive() == prim
+
+
+# -- the dense ZZ boundary against sympy's expression API ---------------------
+
+
+@st.composite
+def rational_polys(draw, variables):
+    """A product of one to three small random factors, possibly repeated,
+    so that factoring has something to find."""
+    n = len(variables)
+    coeff = st.fractions(min_value=-6, max_value=6, max_denominator=4).filter(
+        lambda c: c != 0)
+    term = st.tuples(*[st.integers(0, 2)] * n)
+    factors = draw(st.lists(
+        st.dictionaries(term, coeff, min_size=1, max_size=3), min_size=1,
+        max_size=3))
+    p = Polynomial.constant(1, variables)
+    for terms in factors:
+        q = Polynomial(variables, terms)
+        p = p * q * (q if draw(st.booleans()) and len(factors) < 3 else 1)
+    return p
+
+
+def same_up_to_scalar(p, q):
+    if p.is_zero() or q.is_zero():
+        return p.is_zero() and q.is_zero()
+    return p.primitive() == q.primitive()
+
+
+def reference_projection(polys, variables, method):
+    """The projection set built from sympy expression calls."""
+    syms = sp.symbols(variables)
+    last, rest = syms[-1], variables[:-1]
+    basis = []
+    for p in polys:
+        for fac, _ in sp.factor_list(to_expr(p))[1]:
+            q = from_expr(fac, variables).primitive()
+            if not q.is_constant() and q not in basis:
+                basis.append(q)
+    active = [q for q in basis if q.degree_in(variables[-1]) >= 1]
+    out = {q.coeffs_in_last()[0] for q in basis
+           if q.degree_in(variables[-1]) == 0}
+    exprs = []
+    for q in active:
+        for c in reversed(q.coeffs_in_last()):
+            if c.is_constant() and not c.is_zero():
+                break
+            out.add(c)
+        e = to_expr(q)
+        if q.degree_in(variables[-1]) >= 2:
+            exprs.append(sp.discriminant(e, last))
+        if method == "collins":
+            subs = sp.subresultants(e, sp.diff(e, last), last)
+            exprs += [c for s in subs for c in sp.Poly(s, last).all_coeffs()]
+    for i, q in enumerate(active):
+        for r in active[i + 1:]:
+            exprs.append(sp.resultant(to_expr(q), to_expr(r), last))
+            if method == "collins":
+                subs = sp.subresultants(to_expr(q), to_expr(r), last)
+                exprs += [c for s in subs
+                          for c in sp.Poly(s, last).all_coeffs()]
+    out |= {from_expr(e, rest) for e in exprs}
+    return {q.primitive() for q in out if not q.is_constant()}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: rational_polys(VARS[:n])))
+def test_factor_matches_sympy(p):
+    factors = factor(p)
+    assert len(factors) == len(sp.factor_list(to_expr(p))[1])
+    # each factor divides p some number of times; their product is p
+    rebuilt = sp.Integer(1)
+    rest = to_expr(p)
+    for f in factors:
+        assert f == f.primitive() and not f.is_constant()
+        fe = to_expr(f)
+        k = 0
+        while True:
+            quo, rem = sp.div(rest, fe, *sp.symbols(p.variables))
+            if rem != 0:
+                break
+            rest, k = quo, k + 1
+        assert k >= 1
+        rebuilt *= fe**k
+    assert same_up_to_scalar(from_expr(rebuilt, p.variables), p)
+    if len(p.variables) == 1:
+        coeffs = [c.constant_value() for c in p.coeffs_in_last()]
+        ours = [Polynomial(("x",), {(i,): c for i, c in enumerate(f)})
+                for f in factor_univariate(coeffs)]
+        assert [f.primitive() for f in ours] == factors
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda n: st.tuples(rational_polys(VARS[:n]), rational_polys(VARS[:n]),
+                        st.sampled_from(VARS[:n]))))
+def test_discriminant_and_resultant_match_sympy(case):
+    p, q, var = case
+    rest = tuple(v for v in p.variables if v != var)
+    sym = sp.Symbol(var)
+    if p.degree_in(var) >= 1:
+        assert same_up_to_scalar(
+            discriminant(p, var),
+            from_expr(sp.discriminant(to_expr(p), sym), rest))
+    if p.degree_in(var) >= 1 and q.degree_in(var) >= 1:
+        assert same_up_to_scalar(
+            resultant(p, q, var),
+            from_expr(sp.resultant(to_expr(p), to_expr(q), sym), rest))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 3).flatmap(
+    lambda n: st.lists(rational_polys(VARS[:n]), min_size=1, max_size=2)))
+def test_projection_matches_expression_reference(polys):
+    variables = polys[0].variables
+    for method in ("mccallum", "collins"):
+        try:
+            ours = project_polys(polys, variables, method=method)
+        except ProjectionDegeneracy:
+            assert method == "mccallum"
+            continue
+        assert len(set(ours)) == len(ours)
+        assert set(ours) == reference_projection(polys, variables, method)

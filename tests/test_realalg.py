@@ -132,6 +132,32 @@ def test_incomparable_towers_rejected():
         _ = Num(K2, K2.gen) + Num(K3, K3.gen)
 
 
+def test_root_bound_refines_leading_coefficient_near_zero():
+    K = handles(QQ, upoly([-2, 0, 1]))[-1].as_extension()
+    # sqrt(2) - 1414213/10^6 lies in (5.6e-7, 5.7e-7); at the first
+    # precision its enclosing interval still contains 0
+    lead = (Fraction(-1414213, 1000000), Fraction(1))
+    lo, hi = K.approx(lead, 8)
+    assert lo < 0 < hi
+    p = [K.from_int(-1), lead]  # the root 1/lead exceeds 1/(5.7e-7)
+    assert root_bound(K, p) > Fraction(10**7, 57)
+
+
+def test_root_bound_raises_when_lead_never_separates_from_zero():
+    class Unresolvable:
+        """A field whose approximations never exclude 0."""
+        zero = Fraction(0)
+
+        def raw_is_zero(self, a):
+            return False
+
+        def approx(self, a, prec):
+            return (-Fraction(1, 2**prec), Fraction(1, 2**prec))
+
+    with pytest.raises(RealAlgebraError):
+        root_bound(Unresolvable(), [Fraction(1), Fraction(1)])
+
+
 def test_vanishes_and_sign_of():
     r = handles(QQ, upoly([-2, 0, 1]))[-1]
     assert r.vanishes(upoly([-2, 0, 1]))

@@ -1,10 +1,14 @@
 """Adjacency, components, the growth check, stratification, triangulation,
 Betti numbers."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import sharpcells
 from sharpcells.cad import compatible_decomposition, decide
 from sharpcells.formula import eval_qf
 from sharpcells.parser import parse_formula, parse_poly
@@ -61,6 +65,8 @@ def test_connected_components_counts():
         ("x^2 + y^2 - 1 = 0", 1),
         ("(x^2 + y^2 - 1)*((x - 4)^2 + y^2 - 1) = 0", 2),
         ("x*y - 1 = 0", 2),
+        # shifted along y: the McCallum set degenerates, Collins takes over
+        ("(x - 3/4)*(y + 3/4) - 1/2 = 0", 2),
         ("x^2 + y^2 + 1 = 0", 0),
         ("(x^2 - 1 = 0) and (y = 0)", 2),
     ]:
@@ -160,3 +166,13 @@ def test_boundary_rank_on_handmade_complex():
     K2 = SimplicialComplex(corners, [(0, 1, 2)])
     assert K2.counts() == (3, 3, 1)
     assert betti(K2) == (1, 0, 0)
+
+
+def test_import_does_not_load_numpy():
+    # numpy serves only the grid oracle and the growth fit, so importing
+    # the library (and its CLI) must not pay for it
+    pkg = os.path.abspath(sharpcells.__file__)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pkg)))
+    code = ("import sys, sharpcells, sharpcells.cli; "
+            "assert 'numpy' not in sys.modules, 'numpy imported'")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
