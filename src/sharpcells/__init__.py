@@ -94,7 +94,6 @@ from .trees import (
     TreeError,
     lift_times_R,
     omega_fd,
-    omega_prime_fd,
     tree_to_formula,
     validate_tree,
 )

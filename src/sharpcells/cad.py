@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 
 from .formula import (
     And,
@@ -111,14 +112,13 @@ class CellDecomposition:
     lifting, adjacency, and cell formulas.
     """
 
-    def __init__(self, variables, basis, cells, base, inputs, provenance=None):
+    def __init__(self, variables, basis, cells, base, inputs):
         self.variables = tuple(variables)
         self.basis = list(basis)
         self.cells = list(cells)
         self.base = base
         self.inputs = list(inputs)
-        self.provenance = provenance or []
-        self.stacks = {}  # base index_path -> stack record
+        self.stacks = {}  # base index_path -> Stack
 
     @property
     def level(self):
@@ -236,16 +236,17 @@ def _project(polys, variables, method):
 # ---------------------------------------------------------------------------
 
 
-def _root_handles(field, up, fast=False):
+def _root_handles(field, up, factor=True):
     """Root handles for a univariate coefficient list over a field.
 
-    Over the rationals the polynomial is factored first, so rational roots
-    come back exact rather than as isolating intervals.  fast=True skips
-    the factoring and isolates roots of the squarefree part directly; the
-    handles are exact for comparison purposes but their minimal polynomials
-    may be reducible.
+    Over the rationals factor=True factors the polynomial first, so rational
+    roots come back exact and every other handle carries an irreducible
+    polynomial.  factor=False isolates the roots of the squarefree part
+    directly: the handles order and separate the roots exactly, but their
+    polynomials may be reducible.  Over extension fields roots are always
+    isolated directly.
     """
-    if field is not QQ or fast:
+    if field is not QQ or not factor:
         return [RootHandle(field, e) for e in isolate_roots(field, up)]
     handles = []
     for coeffs in factor_univariate(up):
@@ -257,17 +258,107 @@ def _root_handles(field, up, fast=False):
     return handles
 
 
+def _is_square(q: Fraction):
+    if q < 0:
+        return None
+    rn = math.isqrt(q.numerator)
+    rd = math.isqrt(q.denominator)
+    if rn * rn == q.numerator and rd * rd == q.denominator:
+        return Fraction(rn, rd)
+    return None
+
+
+def _irreducible_root(handle):
+    """The same rational-field root as a rational handle or as one whose
+    polynomial is irreducible, for handles isolated without factoring."""
+    sqf = handle.sqf
+    if pdeg(sqf) == 1:
+        return RootHandle(QQ, ("rat", -sqf[0] / sqf[1]))
+    if pdeg(sqf) == 2:
+        # quadratic: either both roots rational or the poly is irreducible
+        c, b, a = sqf
+        root = _is_square(b * b - 4 * a * c)
+        if root is not None:
+            for r in ((-b + root) / (2 * a), (-b - root) / (2 * a)):
+                if handle.lo <= r <= handle.hi:
+                    return RootHandle(QQ, ("rat", r))
+        return handle
+    # pick the irreducible factor this root actually satisfies
+    for coeffs in factor_univariate(sqf):
+        if handle.vanishes(coeffs):
+            if len(coeffs) == 2:
+                return RootHandle(QQ, ("rat", -coeffs[0] / coeffs[1]))
+            return RootHandle(QQ, ("alg", coeffs, handle.lo, handle.hi))
+    return handle
+
+
+def _section_value(field, handle, factored):
+    """Exact Num for the root a handle isolates over a field.
+
+    Rational roots stay in the field; any other root becomes the generator
+    of an extension.  Handles of unfactored rational stacks are re-examined
+    first, so a root of a reducible polynomial is not extended needlessly.
+    """
+    if field is QQ and not factored and not handle.is_rational():
+        handle = _irreducible_root(handle)
+    if handle.is_rational():
+        return Num(field, field.from_fraction(handle.exact))
+    ext = handle.as_extension()
+    return Num(ext, ext.gen)
+
+
 # ---------------------------------------------------------------------------
 # lifting
 # ---------------------------------------------------------------------------
 
 
-class _Section:
-    def __init__(self, value, handle, vanishing, index):
-        self.value = value  # Num in the (possibly extended) cell field
-        self.handle = handle  # RootHandle over the base cell field
-        self.vanishing = vanishing  # basis indices vanishing on this section
-        self.index = index  # 1-based position in the merged stack
+class Section:
+    """One section of a stack: a root handle over the stack's field and,
+    on first use, its exact value."""
+
+    def __init__(self, field, handle, factored):
+        self.field = field
+        self.handle = handle
+        self.factored = factored
+
+    @cached_property
+    def value(self):
+        return _section_value(self.field, self.handle, self.factored)
+
+
+class Stack:
+    """The sections of a polynomial basis over one base point.
+
+    upolys[i] is basis polynomial i with the base point substituted, a
+    coefficient list over field, or None where it vanishes identically on
+    the fiber; sections are the distinct real roots of the upolys in
+    increasing order.
+    """
+
+    def __init__(self, field, coords, upolys, sections):
+        self.field = field
+        self.coords = coords
+        self.upolys = upolys
+        self.sections = sections
+
+    def sector_samples(self):
+        """Rational sample values for the sectors, below, between and
+        above the sections."""
+        handles = [s.handle for s in self.sections]
+        if not handles:
+            return [Fraction(0)]
+        samples = [handles[0].lo - 1]
+        for h1, h2 in zip(handles, handles[1:]):
+            samples.append(rational_between(h1, h2))
+        samples.append(handles[-1].hi + 1)
+        return samples
+
+    def product(self, basis):
+        """Product of the basis polynomials nonconstant on the fiber, or
+        None when there are none."""
+        active = [q for q, up in zip(basis, self.upolys)
+                  if up is not None and len(up) >= 2]
+        return reduce(operator.mul, active) if active else None
 
 
 def _substituted_upoly(field, poly, coords):
@@ -286,121 +377,47 @@ def _substituted_upoly(field, poly, coords):
     return ptrim(field, out)
 
 
-def _build_stack(field, coords, basis, sampling=False):
-    """Stack data over one base point: substituted polys, merged sections.
+def _build_stack(field, coords, basis, factor=True):
+    """The stack of a basis over one base point of the given field.
 
-    sampling=True takes shortcuts that are safe when only the section
-    order, isolating intervals, and on-demand exact values are needed: no
-    per-section vanishing sets, no up-front factoring, and section values
-    are computed lazily via _section_value.
+    factor=True isolates roots through factoring (see _root_handles), as
+    the decomposition, locate and quantifier test points need it.
+    factor=False skips the factoring, which is cheaper for stacks built once
+    over a random point; the section values are then re-examined for
+    reducible polynomials when they are first read.
     """
     upolys = []
     handles = []
-    for bi, poly in enumerate(basis):
+    for poly in basis:
         up = _substituted_upoly(field, poly, coords)
-        if len(up) == 0:
-            upolys.append(None)  # vanishes identically on the fiber
-            continue
-        upolys.append(up)
+        upolys.append(up if up else None)  # None: vanishes on the fiber
         if len(up) >= 2:
-            for h in _root_handles(field, up, fast=sampling):
-                h.basis_index = bi
-                handles.append(h)
-    groups = sort_roots(handles)
-    sections = []
-    for j, group in enumerate(groups, start=1):
-        rep = group[0]
-        vanishing = {h.basis_index for h in group}
-        if not sampling:
-            for bi, up in enumerate(upolys):
-                if up is not None and bi not in vanishing and rep.vanishes(up):
-                    vanishing.add(bi)
-        if sampling:
-            value = None
-        elif rep.is_rational():
-            value = Num(field, field.from_fraction(rep.exact))
-        else:
-            ext = rep.as_extension()
-            value = Num(ext, ext.gen)
-        sections.append(_Section(value, rep, vanishing, j))
-    return {"upolys": upolys, "sections": sections, "field": field,
-            "coords": coords}
-
-
-def _is_square(q: Fraction):
-    if q < 0:
-        return None
-    rn = math.isqrt(q.numerator)
-    rd = math.isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
-def _section_value(field, handle):
-    """Exact Num for a section from a (possibly fast) root handle.
-
-    Fast handles over the rationals can carry a reducible squarefree part;
-    extension fields need an irreducible minimal polynomial, so the root is
-    re-examined here before extending.
-    """
-    if handle.is_rational():
-        return Num(field, field.from_fraction(handle.exact))
-    if field is QQ and pdeg(handle.sqf) == 1:
-        c, b = handle.sqf
-        return Num(field, field.from_fraction(-c / b))
-    if field is QQ and pdeg(handle.sqf) == 2:
-        # quadratic: either both roots rational or the poly is irreducible
-        c, b, a = handle.sqf
-        root = _is_square(b * b - 4 * a * c)
-        if root is not None:
-            for r in ((-b + root) / (2 * a), (-b - root) / (2 * a)):
-                if handle.lo <= r <= handle.hi:
-                    return Num(field, field.from_fraction(r))
-        ext = handle.as_extension()
-        return Num(ext, ext.gen)
-    if field is QQ and pdeg(handle.sqf) > 2:
-        # pick the irreducible factor this root actually satisfies
-        for coeffs in factor_univariate(handle.sqf):
-            if not handle.vanishes(coeffs):
-                continue
-            if len(coeffs) == 2:
-                return Num(field, field.from_fraction(-coeffs[0] / coeffs[1]))
-            handle = RootHandle(QQ, ("alg", coeffs, handle.lo, handle.hi))
-            break
-    ext = handle.as_extension()
-    return Num(ext, ext.gen)
-
-
-def _sector_samples(sections):
-    """Rational sample values for the sectors of a stack."""
-    if not sections:
-        return [Fraction(0)]
-    samples = [sections[0].handle.lo - 1]
-    for s1, s2 in zip(sections, sections[1:]):
-        samples.append(rational_between(s1.handle, s2.handle))
-    samples.append(sections[-1].handle.hi + 1)
-    return samples
+            handles.extend(_root_handles(field, up, factor=factor))
+    sections = [Section(field, group[0], factor)
+                for group in sort_roots(handles)]
+    return Stack(field, coords, upolys, sections)
 
 
 def _lift_cells(base_cell, stack):
-    field = stack["field"]
-    coords = stack["coords"]
-    sections = stack["sections"]
-    sectors = _sector_samples(sections)
+    field = stack.field
+    coords = stack.coords
+    # values before samples: refining a handle for a sample can land on its
+    # root exactly, which would change the section's field
+    values = [sec.value for sec in stack.sections]
+    sectors = stack.sector_samples()
     cells = []
-    for idx in range(2 * len(sections) + 1):
+    for idx in range(2 * len(values) + 1):
         if idx % 2 == 0:
             new_field = field
             new_coords = list(coords) + [num_in(field, sectors[idx // 2])]
             dim = base_cell.dim + 1
         else:
-            sec = sections[idx // 2]
-            new_field = sec.value.field
+            value = values[idx // 2]
+            new_field = value.field
             if new_field is field:
-                new_coords = list(coords) + [sec.value]
+                new_coords = list(coords) + [value]
             else:
-                new_coords = [num_in(new_field, c) for c in coords] + [sec.value]
+                new_coords = [num_in(new_field, c) for c in coords] + [value]
             dim = base_cell.dim
         cells.append(Cell(base_cell.index_path + (idx,), new_field,
                           new_coords, dim))
@@ -412,8 +429,7 @@ def _lift_cells(base_cell, stack):
 # ---------------------------------------------------------------------------
 
 
-def cad(polys, variables=None, ceiling=DEFAULT_CEILING, projection="mccallum",
-        provenance=None):
+def cad(polys, variables=None, ceiling=DEFAULT_CEILING, projection="mccallum"):
     """Sign-invariant cylindrical decomposition of R^len(variables)."""
     polys = list(polys)
     if variables is None:
@@ -430,22 +446,22 @@ def cad(polys, variables=None, ceiling=DEFAULT_CEILING, projection="mccallum",
         raise CeilingError(
             f"dimension {len(variables)} exceeds ceiling {ceiling}")
     basis = factor_basis(polys, variables)
-    return _cad_levels(basis, variables, projection, polys, provenance)
+    return _cad_levels(basis, variables, projection, polys)
 
 
-def _cad_levels(basis, variables, projection, inputs, provenance):
+def _cad_levels(basis, variables, projection, inputs):
     if len(variables) == 1:
         virtual_base = Cell((), QQ, [], 0)
         stack = _build_stack(QQ, [], basis)
         cells = _lift_cells(virtual_base, stack)
-        d = CellDecomposition(variables, basis, cells, None, inputs, provenance)
+        d = CellDecomposition(variables, basis, cells, None, inputs)
         d.stacks[()] = stack
         return d
     proj = _project(basis, variables, projection) if basis else []
     base = _cad_levels(
         factor_basis(proj, variables[:-1]) if proj else [],
-        variables[:-1], projection, proj, None)
-    d = CellDecomposition(variables, basis, [], base, inputs, provenance)
+        variables[:-1], projection, proj)
+    d = CellDecomposition(variables, basis, [], base, inputs)
     cells = []
     for base_cell in base.cells:
         stack = _build_stack(base_cell.field, base_cell.coords, basis)
@@ -478,44 +494,35 @@ def _random_in_sector(sections, j, rng):
 def sample_in_cell(decomp, cell, rng, count=1):
     """Random exact points inside a cell, as coordinate lists of Num.
 
-    Sector coordinates are drawn as random rationals; section coordinates
-    are re-solved exactly over the random base point.
+    Sector coordinates are drawn as random rationals.  While every
+    coordinate so far is a section, the point is the cell's own base sample
+    and the decomposition's stack over it is reused.  Past the first sector
+    coordinate the stack is rebuilt over the random base point without
+    factoring, and its sections are re-solved exactly.
     """
     layers = decomp.layers()
-    cache = getattr(decomp, "_sample_stacks", None)
-    if cache is None:
-        cache = decomp._sample_stacks = {}
     out = []
     for _ in range(count):
         field = QQ
         coords = []
-        deterministic = True
+        on_sample = True  # only section coordinates so far
         for k, idx in enumerate(cell.index_path):
-            # a stack over a prefix of section coordinates is the same for
-            # every sample, so it can be shared; randomness only enters
-            # through sector levels
-            key = cell.index_path[:k] if deterministic else None
-            if key is not None and key in cache:
-                stack = cache[key]
+            if on_sample:
+                stack = layers[k].stacks[cell.index_path[:k]]
             else:
                 stack = _build_stack(field, coords, layers[k].basis,
-                                     sampling=True)
-                if key is not None:
-                    cache[key] = stack
-            sections = stack["sections"]
+                                     factor=False)
+            sections = stack.sections
             if idx % 2 == 1:
-                sec = sections[idx // 2]
-                if sec.value is None:
-                    sec.value = _section_value(field, sec.handle)
-                new_field = sec.value.field
-                if new_field is not field:
-                    coords = [num_in(new_field, c) for c in coords]
-                    field = new_field
-                coords.append(sec.value)
+                value = sections[idx // 2].value
+                if value.field is not field:
+                    coords = [num_in(value.field, c) for c in coords]
+                    field = value.field
+                coords.append(value)
             else:
                 val = _random_in_sector(sections, idx // 2, rng)
                 coords.append(num_in(field, val))
-                deterministic = False
+                on_sample = False
         out.append(coords)
     return out
 
@@ -541,7 +548,7 @@ def locate(decomp, point):
         stack = _build_stack(field, coords, layers[k].basis)
         idx = 0
         landed = None
-        for j, sec in enumerate(stack["sections"]):
+        for j, sec in enumerate(stack.sections):
             c = _num_cmp(v, sec.value)
             if c == 0:
                 idx = 2 * j + 1
@@ -629,12 +636,8 @@ def cell_formula(decomp, cell, fresh_prefix="_q"):
         layer = layers[k]
         var = layer.variables[-1]
         stack = layer.stacks[cell.index_path[:k]]
-        sections = stack["sections"]
-        active = [layer.basis[i] for i, up in enumerate(stack["upolys"])
-                  if up is not None and len(up) >= 2]
-        P = (reduce(lambda a, b: a * b,
-                    (q.extend(layer.variables) for q in active))
-             if active else None)
+        sections = stack.sections
+        P = stack.product(layer.basis)
         if idx % 2 == 1:
             sec = sections[idx // 2]
             if k == 0 and sec.handle.is_rational():
@@ -687,12 +690,10 @@ def cylinder_cells(decomp, level, pad_prefix="_w"):
     d = decomp
     for k in range(decomp.level + 1, level + 1):
         var = f"{pad_prefix}{k}"
-        nd = CellDecomposition(d.variables + (var,), [], [], d, d.inputs,
-                               d.provenance)
+        nd = CellDecomposition(d.variables + (var,), [], [], d, d.inputs)
         cells = []
         for c in d.cells:
-            nd.stacks[c.index_path] = {"upolys": [], "sections": [],
-                                       "field": c.field, "coords": c.coords}
+            nd.stacks[c.index_path] = Stack(c.field, c.coords, [], [])
             cells.append(Cell(c.index_path + (0,), c.field,
                               list(c.coords) + [num_in(c.field, Fraction(0))],
                               c.dim + 1))
@@ -813,30 +814,13 @@ def _test_points(psi, point, ceiling):
     assigned = full[:-1]
     field = _deepest_field(_as_num(point[v]) for v in assigned)
     coords = [num_in(field, _as_num(point[v])) for v in assigned]
-    handles = []
-    for p in work:
-        if p.is_constant():
-            continue
-        up = _substituted_upoly(field, p.extend(tuple(full)), coords)
-        if len(up) >= 2:
-            handles.extend(_root_handles(field, up))
-    groups = sort_roots(handles)
-    if not groups:
-        yield Num.rational(0)
-        return
-
-    def section_value(handle):
-        if handle.is_rational():
-            return Num(field, field.from_fraction(handle.exact))
-        ext = handle.as_extension()
-        return Num(ext, ext.gen)
-
-    yield Num.rational(groups[0][0].lo - 1)
-    for g1, g2 in zip(groups, groups[1:]):
-        yield section_value(g1[0])
-        yield Num.rational(rational_between(g1[0], g2[0]))
-    yield section_value(groups[-1][0])
-    yield Num.rational(groups[-1][0].hi + 1)
+    basis = [p.extend(tuple(full)) for p in work if not p.is_constant()]
+    stack = _build_stack(field, coords, basis)
+    samples = stack.sector_samples()
+    yield Num.rational(samples[0])
+    for sec, sample in zip(stack.sections, samples[1:]):
+        yield sec.value
+        yield Num.rational(sample)
 
 
 # ---------------------------------------------------------------------------
@@ -914,8 +898,7 @@ def compatible_decomposition(sets, variables=None, env=None,
             for p in work:
                 add(p)
 
-    d = cad(polys, variables, ceiling=ceiling, projection=projection,
-            provenance=sets)
+    d = cad(polys, variables, ceiling=ceiling, projection=projection)
     for c in d.cells:
         point = c.sample_dict(variables)
         c.memberships = tuple(decide(s, point, ceiling=ceiling) for s in sets)

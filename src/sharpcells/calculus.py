@@ -11,8 +11,6 @@ products with a line raise format.
 
 from __future__ import annotations
 
-import json
-
 from .fd import FDPair
 
 OPS = ("union", "intersection", "projection", "complement",
@@ -289,7 +287,3 @@ def witness_from_json(doc) -> ReductionWitness:
     return ReductionWitness(
         {int(k): int(v) for k, v in doc["a"].items()},
         {int(k): [Fraction(c) for c in v] for k, v in doc["polys"].items()})
-
-
-def dumps(obj, **kw) -> str:
-    return json.dumps(obj, sort_keys=True, **kw)

@@ -58,20 +58,16 @@ def _load_formula(path):
         raise SystemExit2(f"{path}: {exc}")
 
 
-def _frac_str(q):
-    return str(Fraction(q))
-
-
 def _num_json(value, approx=None):
     frac = value.as_fraction() if hasattr(value, "as_fraction") else \
         Fraction(value)
     if frac is not None:
-        doc = _frac_str(frac)
+        doc = str(frac)
         if approx:
             return {"exact": doc, "approx": f"{float(frac):.{approx}g}"}
         return doc
     lo, hi = value.approx(64)
-    doc = {"isolating": [_frac_str(lo), _frac_str(hi)]}
+    doc = {"isolating": [str(lo), str(hi)]}
     if approx:
         doc["approx"] = f"{float((lo + hi) / 2):.{approx}g}"
     return doc
@@ -175,7 +171,7 @@ def _cmd_bound_check(args):
     rep = check_component_bound(family, Fraction(args.cap),
                                 ceiling=args.ceiling)
     doc = {"version": 1, **rep}
-    doc["cap"] = _frac_str(Fraction(args.cap))
+    doc["cap"] = str(Fraction(args.cap))
     lines = ["index  components"]
     for d, n in sorted(rep["counts"].items()):
         lines.append(f"{d:>5}  {n}")
@@ -237,12 +233,12 @@ def _cmd_choice(args):
         values = [Fraction(tok) for tok in args.at.split(",")]
         coords, cases = fn.evaluate(values)
         doc["evaluation"] = {
-            "at": [_frac_str(v) for v in values],
+            "at": [str(v) for v in values],
             "cases": cases,
             "coordinates": [_num_json(c, args.approx) for c in coords],
         }
         shown = ", ".join(
-            _frac_str(c.as_fraction()) if c.as_fraction() is not None
+            str(c.as_fraction()) if c.as_fraction() is not None
             else f"~{float(c):.6g}" for c in coords)
         lines.append(f"g({args.at}) = ({shown})  cases {''.join(cases)}")
     _emit(args, doc, lines)
@@ -346,87 +342,77 @@ def _build_parser():
         description="format/degree analyses of semialgebraic sets")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--ceiling", type=int, choices=(2, 3), default=3)
-        p.add_argument("--strict", action="store_true")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=int, default=20)
+    def command(name, fn, help, ceiling=False):
+        """A subcommand with --json, plus --ceiling where fn reads it."""
+        p = sub.add_parser(name, help=help)
         p.add_argument("--json", metavar="PATH")
-        p.add_argument("--stats", action="store_true")
-        p.add_argument("--approx", type=int, default=0, metavar="K")
+        if ceiling:
+            p.add_argument("--ceiling", type=int, choices=(2, 3), default=3)
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("parse", help="parse a formula file")
+    p = command("parse", _cmd_parse, "parse a formula file")
     p.add_argument("file")
-    common(p)
-    p.set_defaults(fn=_cmd_parse)
 
-    p = sub.add_parser("fdinfo", help="format/degree and P-format")
+    p = command("fdinfo", _cmd_fdinfo, "format/degree and P-format")
     p.add_argument("file")
-    common(p)
-    p.set_defaults(fn=_cmd_fdinfo)
 
-    p = sub.add_parser("cad", help="compatible cylindrical decomposition")
+    p = command("cad", _cmd_cad, "compatible cylindrical decomposition",
+                ceiling=True)
     p.add_argument("files", nargs="+")
-    common(p)
-    p.set_defaults(fn=_cmd_cad)
+    p.add_argument("--stats", action="store_true")
+    p.add_argument("--approx", type=int, default=0, metavar="K")
 
-    p = sub.add_parser("components", help="connected components")
+    p = command("components", _cmd_components, "connected components",
+                ceiling=True)
     p.add_argument("file")
-    common(p)
-    p.set_defaults(fn=_cmd_components)
 
-    p = sub.add_parser("bound-check", help="component-count growth check")
+    p = command("bound-check", _cmd_bound_check,
+                "component-count growth check", ceiling=True)
     p.add_argument("files", nargs="+")
     p.add_argument("--cap", required=True)
-    common(p)
-    p.set_defaults(fn=_cmd_bound_check)
 
-    p = sub.add_parser("stratify", help="smooth strata by dimension")
+    p = command("stratify", _cmd_stratify, "smooth strata by dimension",
+                ceiling=True)
     p.add_argument("file")
-    common(p)
-    p.set_defaults(fn=_cmd_stratify)
 
-    p = sub.add_parser("triangulate", help="triangulate a closed bounded set")
+    p = command("triangulate", _cmd_triangulate,
+                "triangulate a closed bounded set", ceiling=True)
     p.add_argument("file")
     p.add_argument("subsets", nargs="*")
     p.add_argument("--off", metavar="PATH")
-    common(p)
-    p.set_defaults(fn=_cmd_triangulate)
 
-    p = sub.add_parser("betti", help="Betti numbers of a closed bounded set")
+    p = command("betti", _cmd_betti, "Betti numbers of a closed bounded set",
+                ceiling=True)
     p.add_argument("file")
-    common(p)
-    p.set_defaults(fn=_cmd_betti)
 
-    p = sub.add_parser("choice", help="definable choice function")
+    p = command("choice", _cmd_choice, "definable choice function",
+                ceiling=True)
     p.add_argument("file")
     p.add_argument("--ell", type=int, default=1)
     p.add_argument("--fiber", help="comma-separated fiber variable names")
     p.add_argument("--at", help="comma-separated rational parameter values")
-    common(p)
-    p.set_defaults(fn=_cmd_choice)
+    p.add_argument("--strict", action="store_true")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=int, default=20)
+    p.add_argument("--approx", type=int, default=0, metavar="K")
 
-    p = sub.add_parser("tree", help="structure tree analysis")
+    p = command("tree", _cmd_tree, "structure tree analysis")
     p.add_argument("file")
-    common(p)
-    p.set_defaults(fn=_cmd_tree)
 
-    p = sub.add_parser("star", help="star representation / decomposition")
+    p = command("star", _cmd_star, "star representation / decomposition",
+                ceiling=True)
     p.add_argument("files", nargs="+")
     p.add_argument("--ccd", type=int, metavar="N",
                    help="decompose the first N coordinates")
-    common(p)
-    p.set_defaults(fn=_cmd_star)
 
-    p = sub.add_parser("reduce-check", help="check a reduction witness")
+    p = command("reduce-check", _cmd_reduce_check,
+                "check a reduction witness")
     p.add_argument("file")
-    common(p)
-    p.set_defaults(fn=_cmd_reduce_check)
 
-    p = sub.add_parser("report", help="summary table over formula files")
+    p = command("report", _cmd_report, "summary table over formula files",
+                ceiling=True)
     p.add_argument("files", nargs="+")
-    common(p)
-    p.set_defaults(fn=_cmd_report)
 
     return top
 

@@ -257,11 +257,11 @@ class Polynomial:
                 elif e > 1:
                     factors.append(f"{v}^{e}")
             if not factors:
-                body = _frac_str(abs(coeff))
+                body = str(abs(coeff))
             elif abs(coeff) == 1:
                 body = "*".join(factors)
             else:
-                body = _frac_str(abs(coeff)) + "*" + "*".join(factors)
+                body = str(abs(coeff)) + "*" + "*".join(factors)
             sign = "-" if coeff < 0 else "+"
             parts.append((sign, body))
         sign, body = parts[0]
@@ -272,12 +272,6 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({self})"
-
-
-def _frac_str(c: Fraction) -> str:
-    if c.denominator == 1:
-        return str(c.numerator)
-    return f"{c.numerator}/{c.denominator}"
 
 
 # ---------------------------------------------------------------------------

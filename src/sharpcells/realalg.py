@@ -55,12 +55,6 @@ def psub(field, p, q):
     return padd(field, p, pneg(field, q))
 
 
-def pscale(field, c, p):
-    if field.raw_is_zero(c):
-        return []
-    return ptrim(field, [field.mul(c, a) for a in p])
-
-
 def pmul(field, p, q):
     if pzero(p) or pzero(q):
         return []
@@ -177,10 +171,6 @@ def count_roots(field, chain, a: Fraction, b: Fraction):
     va = _variations([field.sign(peval_frac(field, q, a)) for q in chain])
     vb = _variations([field.sign(peval_frac(field, q, b)) for q in chain])
     return va - vb
-
-
-def count_roots_all(field, chain, bound: Fraction):
-    return count_roots(field, chain, -bound, bound)
 
 
 def root_bound(field, p):

@@ -13,7 +13,6 @@ cell does not grow with its root index the way direct cell formulas do.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from .cad import (
     CADError,
@@ -22,6 +21,7 @@ from .cad import (
     cylinder_cells,
     poly_sign_at,
 )
+from .constructors import _unit_box_atom
 from .fd import FDPair, fd_of_formula
 from .formula import And, Atom, Formula, resolve_named, to_text
 from .parser import parse_formula
@@ -165,11 +165,6 @@ def star_report(decomp) -> dict:
 # ---------------------------------------------------------------------------
 # star cell decomposition
 # ---------------------------------------------------------------------------
-
-
-def _unit_box_atom(v):
-    from .parser import parse_poly
-    return Atom(parse_poly(f"{v} - {v}^2", (v,)), ">")
 
 
 def _canonical(psi, variables):

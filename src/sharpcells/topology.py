@@ -11,7 +11,6 @@ sampling-based and flagged as heuristic.
 from __future__ import annotations
 
 import itertools
-import json
 import random
 from fractions import Fraction
 
@@ -24,7 +23,7 @@ from .cad import (
     _root_handles,
 )
 from .constructors import local_maxima_formula
-from .fd import FDPair, fd_of_formula
+from .fd import fd_of_formula
 from .formula import (
     And,
     Atom,
@@ -37,10 +36,8 @@ from .formula import (
 from .poly import Polynomial
 from .realalg import (
     QQ,
-    RootHandle,
     compare_roots,
     count_roots,
-    peval_frac,
     ptrim,
     rational_between,
     root_bound,
@@ -97,22 +94,6 @@ class AdjacencyGraph:
                 sorted(groups.values(), key=lambda g: min(g))]
 
 
-def _rat_handle(r):
-    return RootHandle(QQ, ("rat", Fraction(r)))
-
-
-def _stack_product(decomp, stack):
-    """Product of the basis polynomials active (nonconstant) on a stack."""
-    polys = [decomp.basis[i] for i, up in enumerate(stack["upolys"])
-             if up is not None and len(up) >= 2]
-    if not polys:
-        return None
-    out = polys[0]
-    for p in polys[1:]:
-        out = out * p
-    return out
-
-
 def _subs_last(poly, value):
     """poly with its last variable replaced by a rational constant."""
     rest = poly.variables[:-1]
@@ -122,17 +103,6 @@ def _subs_last(poly, value):
         out = out + c * Polynomial.constant(power, rest)
         power = power * value
     return out
-
-
-def _separators(handles):
-    """Rationals strictly interleaving a sorted list of root handles."""
-    if not handles:
-        return [Fraction(0)]
-    seps = [handles[0].lo - 1]
-    for h1, h2 in zip(handles, handles[1:]):
-        seps.append(rational_between(h1, h2))
-    seps.append(handles[-1].hi + 1)
-    return seps
 
 
 def _near_endpoint(P, seps, r_handle, far_handle, side):
@@ -193,22 +163,21 @@ def _column_edges(path_prefix, n_sections):
 def _cross_edges(decomp, section_idx, sector_idx, side):
     """Edges between a section column and a flanking sector column."""
     base = decomp.base
-    base_sections = base.stacks[()]["sections"]
+    base_sections = base.stacks[()].sections
     t = section_idx // 2
     r_handle = base_sections[t].handle
     col = decomp.stacks[(section_idx,)]
-    sec_handles = [s.handle for s in col["sections"]]
-    s = len(sec_handles)
+    s = len(col.sections)
     sector = decomp.stacks[(sector_idx,)]
-    m = len(sector["sections"])
+    m = len(sector.sections)
     edges = []
     if m == 0:
         # one full-plane band over the sector; its closure covers the line
         for j in range(2 * s + 1):
             edges.append(((sector_idx, 0), (section_idx, j)))
         return edges
-    P = _stack_product(decomp, sector)
-    seps = _separators(sec_handles)
+    P = sector.product(decomp.basis)
+    seps = col.sector_samples()
     if side > 0:
         far = base_sections[t + 1].handle if t + 1 < len(base_sections) \
             else None
@@ -241,10 +210,10 @@ def _adjacency_exact(decomp):
         for a, b in zip(paths, paths[1:]):
             edges.append((a, b))
         return AdjacencyGraph(paths, edges)
-    base_sections = decomp.base.stacks[()]["sections"]
+    base_sections = decomp.base.stacks[()].sections
     for base_cell in decomp.base.cells:
         i = base_cell.index_path[0]
-        edges.extend(_column_edges((i,), len(decomp.stacks[(i,)]["sections"])))
+        edges.extend(_column_edges((i,), len(decomp.stacks[(i,)].sections)))
     for t in range(len(base_sections)):
         si = 2 * t + 1
         edges.extend(_cross_edges(decomp, si, si - 1, side=-1))
@@ -638,7 +607,7 @@ def _check_closed_bounded(decomp, graph, inside):
     layers = decomp.layers()
     for path in inside:
         for k, i in enumerate(path):
-            n = len(layers[k].stacks[path[:k]]["sections"])
+            n = len(layers[k].stacks[path[:k]].sections)
             if i == 0 or i == 2 * n:
                 raise TopologyError(
                     "set is unbounded (reaches an extreme cell)")
@@ -789,7 +758,3 @@ def components_to_json(components) -> dict:
              "formula": to_text(c.formula)}
             for c in components],
     }
-
-
-def dumps(obj, **kw) -> str:
-    return json.dumps(obj, sort_keys=True, **kw)

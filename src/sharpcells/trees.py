@@ -151,11 +151,6 @@ def omega_fd(t: StructureTree, env) -> FDPair:
     return go(t.root)
 
 
-def omega_prime_fd(t: StructureTree, env) -> FDPair:
-    """FD upper bound for the set presented by the tree."""
-    return omega_fd(t, env)
-
-
 # ---------------------------------------------------------------------------
 # realizing trees as formulas
 # ---------------------------------------------------------------------------

@@ -78,6 +78,21 @@ def test_locate_agrees_with_membership():
         assert cell.memberships[0] == want
 
 
+@pytest.mark.parametrize("text", [
+    "x^2 + y^2 - 1 = 0",
+    "x*y^2 - 1 = 0",
+    "y^2 - x = 0",
+    "x^2 + y^2 + z^2 - 1 < 0",
+])
+def test_samples_locate_back_to_their_cell(text):
+    # sample_in_cell reuses or rebuilds stacks; locate always rebuilds them
+    decomp = compatible_decomposition([parse_formula(text)])
+    rng = random.Random(11)
+    for cell in decomp.cells:
+        for pt in sample_in_cell(decomp, cell, rng, count=2):
+            assert locate(decomp, pt) == cell.index_path
+
+
 def test_locate_on_a_section():
     decomp = compatible_decomposition([parse_formula("x^2 + y^2 - 1 = 0")])
     path = locate(decomp, [Fraction(3, 5), Fraction(4, 5)])

@@ -50,9 +50,16 @@ def test_cad_stats(circle, capsys, tmp_path):
 
 def test_json_is_deterministic(circle, capsys, tmp_path):
     a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
-    assert run(["cad", circle, "--seed", "5", "--json", a], capsys)[0] == 0
-    assert run(["cad", circle, "--seed", "5", "--json", b], capsys)[0] == 0
+    assert run(["cad", circle, "--json", a], capsys)[0] == 0
+    assert run(["cad", circle, "--json", b], capsys)[0] == 0
     assert open(a, "rb").read() == open(b, "rb").read()
+
+
+def test_flags_only_where_they_are_read(circle, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["fdinfo", circle, "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
 
 
 def test_components_and_betti(circle, capsys):
@@ -123,6 +130,12 @@ def test_star_and_report(circle, capsys):
     code, out, _ = run(["report", circle], capsys)
     assert code == 0
     assert "star-FD" in out
+
+
+def test_star_ccd(circle, capsys):
+    # the circle's shadow on the x-axis: two points and three intervals
+    code, out, _ = run(["star", circle, "--ccd", "1"], capsys)
+    assert code == 0 and out.startswith("5 cells, max star FD")
 
 
 def test_triangulate_writes_off(tmp_path, capsys):

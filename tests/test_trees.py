@@ -17,7 +17,6 @@ from sharpcells.trees import (
     loads,
     dumps,
     omega_fd,
-    omega_prime_fd,
     tree_to_formula,
     validate_tree,
 )
@@ -115,7 +114,6 @@ def test_tree_to_formula_agrees_with_omega_fd():
     psi = tree_to_formula(t, env)
     assert is_quantifier_free(psi)
     assert fd_of_formula(psi) == omega_fd(t, env)
-    assert omega_prime_fd(t, env) == omega_fd(t, env)
 
 
 def test_tree_to_formula_projection_and_product():
