@@ -231,6 +231,17 @@ def _project(polys, variables, method):
         return project_polys(polys, variables, method="collins")
 
 
+def _eliminate(polys, order, keep, method):
+    """Project polys down the variable order until only its first keep
+    variables are left."""
+    work = [p.extend(tuple(order)) for p in polys]
+    while len(order) > keep:
+        nonconst = [p for p in work if not p.is_constant()]
+        work = _project(nonconst, tuple(order), method) if nonconst else []
+        order = order[:-1]
+    return work
+
+
 # ---------------------------------------------------------------------------
 # root isolation
 # ---------------------------------------------------------------------------
@@ -247,14 +258,14 @@ def _root_handles(field, up, factor=True):
     isolated directly.
     """
     if field is not QQ or not factor:
-        return [RootHandle(field, e) for e in isolate_roots(field, up)]
+        return isolate_roots(field, up)
     handles = []
     for coeffs in factor_univariate(up):
         if len(coeffs) == 2:
             b, a = coeffs
-            handles.append(RootHandle(QQ, ("rat", -b / a)))
+            handles.append(RootHandle.rational(QQ, -b / a))
         else:
-            handles.extend(RootHandle(QQ, e) for e in isolate_roots(QQ, coeffs))
+            handles.extend(isolate_roots(QQ, coeffs))
     return handles
 
 
@@ -273,7 +284,7 @@ def _irreducible_root(handle):
     polynomial is irreducible, for handles isolated without factoring."""
     sqf = handle.sqf
     if pdeg(sqf) == 1:
-        return RootHandle(QQ, ("rat", -sqf[0] / sqf[1]))
+        return RootHandle.rational(QQ, -sqf[0] / sqf[1])
     if pdeg(sqf) == 2:
         # quadratic: either both roots rational or the poly is irreducible
         c, b, a = sqf
@@ -281,14 +292,14 @@ def _irreducible_root(handle):
         if root is not None:
             for r in ((-b + root) / (2 * a), (-b - root) / (2 * a)):
                 if handle.lo <= r <= handle.hi:
-                    return RootHandle(QQ, ("rat", r))
+                    return RootHandle.rational(QQ, r)
         return handle
     # pick the irreducible factor this root actually satisfies
     for coeffs in factor_univariate(sqf):
         if handle.vanishes(coeffs):
             if len(coeffs) == 2:
-                return RootHandle(QQ, ("rat", -coeffs[0] / coeffs[1]))
-            return RootHandle(QQ, ("alg", coeffs, handle.lo, handle.hi))
+                return RootHandle.rational(QQ, -coeffs[0] / coeffs[1])
+            return RootHandle(QQ, coeffs, handle.lo, handle.hi)
     return handle
 
 
@@ -803,14 +814,9 @@ def _test_points(psi, point, ceiling):
     stray = [v for v in order if v not in full]
     if stray:
         raise CADError(f"stray variables {stray} in quantified body")
-    work = [p.extend(tuple(full)) for p in polys]
-    while full[-1] != var:
-        nonconst = [p for p in work if not p.is_constant()]
-        if nonconst:
-            work = _project(nonconst, tuple(full), "mccallum")
-        else:
-            work = []
-        full = full[:-1]
+    keep = full.index(var) + 1
+    work = _eliminate(polys, full, keep, "mccallum")
+    full = full[:keep]
     assigned = full[:-1]
     field = _deepest_field(_as_num(point[v]) for v in assigned)
     coords = [num_in(field, _as_num(point[v])) for v in assigned]
@@ -886,16 +892,8 @@ def compatible_decomposition(sets, variables=None, env=None,
             order = list(variables) + list(bvars)
             if len(order) > ceiling:
                 raise CeilingError("elimination depth exceeds ceiling")
-            work = [p.extend(tuple(order)) for p in quant_polys
-                    if not p.is_constant()]
-            while len(order) > len(variables):
-                nonconst = [p for p in work if not p.is_constant()]
-                if nonconst:
-                    work = _project(nonconst, tuple(order), projection)
-                else:
-                    work = []
-                order = order[:-1]
-            for p in work:
+            for p in _eliminate(quant_polys, order, len(variables),
+                                projection):
                 add(p)
 
     d = cad(polys, variables, ceiling=ceiling, projection=projection)

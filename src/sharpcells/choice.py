@@ -11,7 +11,6 @@ coordinate at a time: choose in the projected family, slice, repeat.
 from __future__ import annotations
 
 import itertools
-import json
 import random
 from fractions import Fraction
 
@@ -300,7 +299,3 @@ def choice_to_json(fn: ChoiceFunction) -> dict:
                          for k, rec in sorted(s["regions"].items())}}
             for s in fn.stages],
     }
-
-
-def dumps(fn: ChoiceFunction, **kw) -> str:
-    return json.dumps(choice_to_json(fn), sort_keys=True, **kw)

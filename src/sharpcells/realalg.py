@@ -1,12 +1,14 @@
 """Exact real algebraic arithmetic for CAD lifting.
 
-Numbers live in towers of real field extensions QQ(a1)(a2)...  Each
-extension is presented by a squarefree defining polynomial over the base
-field together with a rational isolating interval selecting one real root.
-Defining polynomials need not be irreducible: zero tests go through gcds
-plus Sturm root counting in the isolating interval, and inversion shrinks
-the defining polynomial when it discovers a factor without the selected
-root.  All decisions are exact; floating point is never consulted.
+Every isolated real root is a RootHandle: a squarefree polynomial over a
+field with a rational interval holding exactly that root, or the root
+itself when it is rational.  One handle type serves root isolation,
+comparison and sorting, and the generators of field towers QQ(a1)(a2)...:
+an ExtensionField is built on its own copy of a handle.  Defining
+polynomials need not be irreducible: zero tests go through gcds plus Sturm
+root counting in the isolating interval, and inversion shrinks the
+defining polynomial when it discovers a factor without the selected root.
+All decisions are exact; floating point is never consulted.
 """
 
 from __future__ import annotations
@@ -203,11 +205,10 @@ def _nonroot_near(field, p, x: Fraction, step: Fraction, direction: int):
 
 
 def isolate_roots(field, p):
-    """Isolating data for the distinct real roots of p, in increasing order.
+    """Root handles for the distinct real roots of p, in increasing order.
 
-    Returns a list of entries, each either ("rat", x) for an exact rational
-    root or ("alg", sqf, lo, hi) where sqf is the squarefree part of p and
-    (lo, hi) isolates exactly one root.
+    A root met exactly by bisection comes back rational; every other handle
+    carries the squarefree part of p and an interval isolating one root.
     """
     p = ptrim(field, p)
     if pzero(p):
@@ -225,7 +226,7 @@ def isolate_roots(field, p):
         if n == 0:
             return
         if n == 1:
-            out.append(("alg", a, b))
+            out.append(RootHandle(field, sqf, a, b))
             return
         mid = (a + b) / 2
         if field.raw_is_zero(peval_frac(field, sqf, mid)):
@@ -241,7 +242,7 @@ def isolate_roots(field, p):
                     break
                 gap = gap / 4
             recurse(a, left, nl)
-            out.append(("rat", mid))
+            out.append(RootHandle.rational(field, mid))
             recurse(right, b, nr)
         else:
             k = count_roots(field, chain, a, mid)
@@ -249,13 +250,7 @@ def isolate_roots(field, p):
             recurse(mid, b, n - k)
 
     recurse(lo, hi, count_roots(field, chain, lo, hi))
-    result = []
-    for entry in out:
-        if entry[0] == "rat":
-            result.append(("rat", entry[1]))
-        else:
-            result.append(("alg", sqf, entry[1], entry[2]))
-    return result
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -327,27 +322,26 @@ QQ = RationalField()
 
 
 class ExtensionField:
-    """base(alpha) where alpha is the unique root of `defining` in (lo, hi).
+    """base(alpha) where alpha is the real root a RootHandle isolates.
 
-    `defining` is a squarefree UPoly over base.  Elements are tuples of base
-    payloads, read as polynomials evaluated at alpha; they need not be
-    reduced.  The defining polynomial may shrink over time as zero tests and
-    inversions discover factors not carrying alpha.
+    The field keeps its own copy of the handle, so refining the field never
+    moves the caller's handle.  Elements are tuples of base payloads, read
+    as polynomials evaluated at alpha; they need not be reduced.  The
+    root's squarefree polynomial is the defining polynomial, and it may
+    shrink over time as zero tests and inversions discover factors not
+    carrying alpha.
     """
 
-    def __init__(self, base, defining, lo: Fraction, hi: Fraction):
-        self.base = base
-        self.m = ptrim(base, list(defining))
-        if pdeg(self.m) < 1:
+    def __init__(self, root):
+        self.base = root.field
+        self.root = root.copy()
+        if root.exact is not None or pdeg(root.sqf) < 1:
             raise RealAlgebraError("defining polynomial must be nonconstant")
-        self.lo = Fraction(lo)
-        self.hi = Fraction(hi)
-        self.exact = None  # set if alpha is discovered to be rational
-        if base.raw_is_zero(peval_frac(base, self.m, self.lo)) or base.raw_is_zero(
-            peval_frac(base, self.m, self.hi)
+        f, m = root.field, root.sqf
+        if f.raw_is_zero(peval_frac(f, m, root.lo)) or f.raw_is_zero(
+            peval_frac(f, m, root.hi)
         ):
             raise RealAlgebraError("isolating interval endpoints must be non-roots")
-        self._chain = None
 
     # elements -------------------------------------------------------------
 
@@ -387,110 +381,44 @@ class ExtensionField:
 
     def mul(self, a, b):
         prod = pmul(self.base, list(a), list(b))
-        _, rem = pdivmod(self.base, prod, self.m)
+        _, rem = pdivmod(self.base, prod, self.root.sqf)
         return tuple(rem)
 
-    def _chain_for(self, p):
-        return sturm_chain(self.base, p)
-
-    def _has_alpha(self, g):
-        """Does the factor g of m vanish at alpha?  g squarefree, g | m."""
-        g = ptrim(self.base, g)
-        if pdeg(g) < 1:
-            return False
-        chain = self._chain_for(g)
-        lo, hi = self.lo, self.hi
-        # endpoints are non-roots of m, hence of g
-        return count_roots(self.base, chain, lo, hi) > 0
-
     def raw_is_zero(self, a):
-        a = ptrim(self.base, list(a))
-        if not a:
-            return True
-        if self.exact is not None:
-            return self.base.raw_is_zero(peval(self.base, a, self.exact))
-        g = pgcd(self.base, self.m, a)
-        if pdeg(g) < 1:
-            return False
-        if self._has_alpha(g):
-            self.m = g
-            self._chain = None
-            return True
-        return False
+        return self.root.vanishes(a, shrink=True)
 
     def inv(self, a):
         a = ptrim(self.base, list(a))
         if self.raw_is_zero(a):
             raise ZeroDivisionError("inverse of zero")
-        if self.exact is not None:
-            val = peval(self.base, a, self.exact)
-            return (self.base.inv(val),)
+        root = self.root
+        if root.exact is not None:
+            return (self.base.inv(peval_frac(self.base, a, root.exact)),)
         while True:
-            g, _, v = pextgcd(self.base, self.m, a)
+            g, _, v = pextgcd(self.base, root.sqf, a)
             if pdeg(g) == 0:
                 return tuple(v)
             # alpha is not a root of g (a(alpha) != 0), so strip the factor
-            quo, _ = pdivmod(self.base, self.m, g)
-            self.m = quo
-            self._chain = None
+            root.sqf, _ = pdivmod(self.base, root.sqf, g)
 
-    # refinement and signs ---------------------------------------------------
-
-    def _sign_at(self, x: Fraction):
-        return self.base.sign(peval_frac(self.base, self.m, x))
-
-    def refine(self, max_width: Fraction):
-        if self.exact is not None:
-            return
-        slo = self._sign_at(self.lo)
-        while self.hi - self.lo > max_width:
-            mid = (self.lo + self.hi) / 2
-            smid = self._sign_at(mid)
-            if smid == 0:
-                self.exact = self.base.from_fraction(mid)
-                self.lo = self.hi = mid
-                return
-            if smid == slo:
-                self.lo = mid
-            else:
-                self.hi = mid
+    # signs ------------------------------------------------------------------
 
     def approx(self, a, prec):
         """Rational interval containing a(alpha), width shrinking with prec."""
         a = ptrim(self.base, list(a))
         if not a:
             return (Fraction(0), Fraction(0))
-        width = Fraction(1, 2**prec)
-        self.refine(width)
-        if self.exact is not None and self.base is QQ:
-            v = peval(self.base, a, self.exact)
-            return (v, v)
-        alpha_iv = (self.lo, self.hi)
-        acc = (Fraction(0), Fraction(0))
-        for c in reversed(a):
-            c_iv = self.base.approx(c, prec)
-            acc = _iadd(_imul(acc, alpha_iv), c_iv)
-        return acc
+        return self.root.enclose(a, prec)
 
     def sign(self, a):
-        if self.raw_is_zero(a):
-            return 0
-        prec = 4
-        while True:
-            lo, hi = self.approx(a, prec)
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
-            prec *= 2
-            if prec > 2**20:
-                raise RealAlgebraError("sign refinement failed to converge")
+        return self.root.sign_of(a)
 
     def depth(self):
         return 1 + self.base.depth()
 
     def describe(self):
-        return f"{self.base.describe()}(root of deg-{pdeg(self.m)} in ({self.lo},{self.hi}))"
+        r = self.root
+        return f"{self.base.describe()}(root of deg-{pdeg(r.sqf)} in ({r.lo},{r.hi}))"
 
 
 # ---------------------------------------------------------------------------
@@ -632,46 +560,65 @@ def num_in(field, value):
 
 
 class RootHandle:
-    """One isolated real root of a squarefree polynomial over a field."""
+    """One isolated real root of a squarefree polynomial over a field.
 
-    def __init__(self, field, entry):
+    An algebraic handle holds the squarefree polynomial sqf and a rational
+    interval (lo, hi) holding exactly one of its roots; the endpoints are
+    never roots.  A rational handle holds the root itself as exact, with
+    lo = hi = exact.  Bisection may land on an algebraic root, which then
+    becomes exact too.
+    """
+
+    def __init__(self, field, sqf, lo: Fraction, hi: Fraction):
         self.field = field
-        if entry[0] == "rat":
-            self.exact = entry[1]
-            self.sqf = None
-            self.lo = self.hi = entry[1]
-        else:
-            _, sqf, lo, hi = entry
-            self.exact = None
-            self.sqf = sqf
-            self.lo = lo
-            self.hi = hi
+        self.sqf = sqf
+        self.lo = lo
+        self.hi = hi
+        self.exact = None
+
+    @classmethod
+    def rational(cls, field, x: Fraction):
+        handle = cls(field, None, x, x)
+        handle.exact = x
+        return handle
+
+    def copy(self):
+        handle = RootHandle(self.field, self.sqf, self.lo, self.hi)
+        handle.exact = self.exact
+        return handle
 
     def is_rational(self):
         return self.exact is not None
 
     def refine(self):
+        """Halve the isolating interval, or land on the root."""
+        self.refine_below((self.hi - self.lo) / 2)
+
+    def refine_below(self, width: Fraction):
+        """Bisect until the interval is at most width wide."""
         if self.exact is not None:
             return
         f = self.field
-        mid = (self.lo + self.hi) / 2
-        smid = f.sign(peval_frac(f, self.sqf, mid))
-        if smid == 0:
-            self.exact = mid
-            self.lo = self.hi = mid
-            return
         slo = f.sign(peval_frac(f, self.sqf, self.lo))
-        if smid == slo:
-            self.lo = mid
-        else:
-            self.hi = mid
-
-    def refine_below(self, width: Fraction):
         while self.hi - self.lo > width:
-            self.refine()
+            mid = (self.lo + self.hi) / 2
+            smid = f.sign(peval_frac(f, self.sqf, mid))
+            if smid == 0:
+                self.exact = mid
+                self.lo = self.hi = mid
+                return
+            if smid == slo:
+                self.lo = mid
+            else:
+                self.hi = mid
 
-    def vanishes(self, q):
-        """Does the UPoly q (over the same field) vanish at this root?"""
+    def vanishes(self, q, shrink=False):
+        """Does the UPoly q (over the same field) vanish at this root?
+
+        The root is a root of q exactly when g = gcd(sqf, q) has a root in
+        the isolating interval.  With shrink=True a vanishing q also cuts
+        sqf down to g, which still carries the root.
+        """
         f = self.field
         q = ptrim(f, list(q))
         if pzero(q):
@@ -681,27 +628,34 @@ class RootHandle:
         g = pgcd(f, self.sqf, q)
         if pdeg(g) < 1:
             return False
-        chain = sturm_chain(f, g)
-        return count_roots(f, chain, self.lo, self.hi) > 0
+        if count_roots(f, sturm_chain(f, g), self.lo, self.hi) == 0:
+            return False
+        if shrink:
+            self.sqf = g
+        return True
+
+    def enclose(self, q, prec):
+        """Rational interval containing q at this root, evaluated on the
+        isolating interval refined below width 2^-prec."""
+        f = self.field
+        self.refine_below(Fraction(1, 2**prec))
+        iv = (Fraction(0), Fraction(0))
+        for c in reversed(q):
+            iv = _iadd(_imul(iv, (self.lo, self.hi)), f.approx(c, prec))
+        return iv
 
     def sign_of(self, q):
-        """Exact sign of q at this root."""
-        f = self.field
-        q = ptrim(f, list(q))
-        if self.vanishes(q):
+        """Exact sign of q at this root; a vanishing q shrinks sqf as in
+        vanishes(q, shrink=True)."""
+        q = ptrim(self.field, list(q))
+        if self.vanishes(q, shrink=True):
             return 0
-        if self.exact is not None:
-            return f.sign(peval_frac(f, q, self.exact))
         prec = 4
         while True:
-            self.refine_below(Fraction(1, 2**prec))
-            iv = (Fraction(0), Fraction(0))
-            for c in reversed(q):
-                c_iv = f.approx(c, prec)
-                iv = _iadd(_imul(iv, (self.lo, self.hi)), c_iv)
-            if iv[0] > 0:
+            lo, hi = self.enclose(q, prec)
+            if lo > 0:
                 return 1
-            if iv[1] < 0:
+            if hi < 0:
                 return -1
             prec *= 2
             if prec > 2**20:
@@ -712,13 +666,7 @@ class RootHandle:
         stay in the current field)."""
         if self.exact is not None:
             return None
-        # endpoints must be non-roots of sqf; refine a touch for safety
-        f = self.field
-        while f.raw_is_zero(peval_frac(f, self.sqf, self.lo)) or f.raw_is_zero(
-            peval_frac(f, self.sqf, self.hi)
-        ):
-            self.refine()
-        return ExtensionField(f, self.sqf, self.lo, self.hi)
+        return ExtensionField(self)
 
 
 def compare_roots(r1: RootHandle, r2: RootHandle):
@@ -739,24 +687,15 @@ def compare_roots(r1: RootHandle, r2: RootHandle):
             if r1.vanishes([f.from_fraction(-r2.exact), f.one]):
                 return 0
         else:
+            # each interval holds one root of its own sqf and no endpoint
+            # is a root, so a root of the gcd inside both intervals is
+            # both roots
+            lo = max(r1.lo, r2.lo)
+            hi = min(r1.hi, r2.hi)
             g = pgcd(f, r1.sqf, r2.sqf)
-            if pdeg(g) >= 1:
-                chain = sturm_chain(f, g)
-                lo = max(r1.lo, r2.lo)
-                hi = min(r1.hi, r2.hi)
-                if (
-                    lo < hi
-                    and not f.raw_is_zero(peval_frac(f, g, lo))
-                    and not f.raw_is_zero(peval_frac(f, g, hi))
-                    and count_roots(f, chain, lo, hi) > 0
-                    and r1.vanishes(g)
-                    and r2.vanishes(g)
-                ):
-                    # both equal the unique shared root once intervals agree
-                    r1_in = count_roots(f, sturm_chain(f, r1.sqf), lo, hi) > 0
-                    r2_in = count_roots(f, sturm_chain(f, r2.sqf), lo, hi) > 0
-                    if r1_in and r2_in:
-                        return 0
+            if lo < hi and pdeg(g) >= 1 and count_roots(
+                    f, sturm_chain(f, g), lo, hi) > 0:
+                return 0
         r1.refine()
         r2.refine()
     raise RealAlgebraError("root comparison failed to converge")

@@ -12,8 +12,6 @@ cell does not grow with its root index the way direct cell formulas do.
 
 from __future__ import annotations
 
-import json
-
 from .cad import (
     CADError,
     DEFAULT_CEILING,
@@ -248,7 +246,3 @@ def star_from_json(doc) -> StarRep:
         StarEntry(parse_formula(e["source"]), FDPair(*e["fd"]),
                   e["component"], e["target_dim"])
         for e in doc["entries"]])
-
-
-def dumps(r: StarRep, **kw) -> str:
-    return json.dumps(star_to_json(r), sort_keys=True, **kw)

@@ -11,6 +11,7 @@ sampling-based and flagged as heuristic.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -20,7 +21,6 @@ from .cad import (
     cell_formula,
     compatible_decomposition,
     locate,
-    _root_handles,
 )
 from .constructors import local_maxima_formula
 from .fd import fd_of_formula
@@ -33,11 +33,11 @@ from .formula import (
     is_quantifier_free,
     resolve_named,
 )
-from .poly import Polynomial
 from .realalg import (
     QQ,
     compare_roots,
     count_roots,
+    isolate_roots,
     ptrim,
     rational_between,
     root_bound,
@@ -94,17 +94,6 @@ class AdjacencyGraph:
                 sorted(groups.values(), key=lambda g: min(g))]
 
 
-def _subs_last(poly, value):
-    """poly with its last variable replaced by a rational constant."""
-    rest = poly.variables[:-1]
-    out = Polynomial(rest)
-    power = Fraction(1)
-    for c in poly.coeffs_in_last():
-        out = out + c * Polynomial.constant(power, rest)
-        power = power * value
-    return out
-
-
 def _near_endpoint(P, seps, r_handle, far_handle, side):
     """A rational abscissa inside the interval, past every x where a root
     curve of P crosses one of the separator lines.
@@ -113,12 +102,14 @@ def _near_endpoint(P, seps, r_handle, far_handle, side):
     """
     closest = far_handle
     for t in seps:
-        q = _subs_last(P, t)
-        up = [c.constant_value() for c in q.coeffs_in_last()]
+        # P(x, t) as a coefficient list in x
+        up = [Fraction(0)] * (P.degree_in(P.variables[0]) + 1)
+        for (i, j), c in P.terms.items():
+            up[i] += c * t**j
         up = ptrim(QQ, up)
         if len(up) <= 1:
             continue
-        for h in _root_handles(QQ, up):
+        for h in isolate_roots(QQ, up):
             if compare_roots(h, r_handle) == side and (
                     closest is None or compare_roots(h, closest) == -side):
                 closest = h
@@ -321,7 +312,8 @@ def grid_components(X: Formula, lo=-5, hi=5, step=Fraction(1, 200)) -> int:
     Sampling oracle for tests: 8-neighbor connectivity on same-membership
     grid points.  Thin features below the grid step are invisible, and
     equality atoms are thickened to a small band, so inputs should keep
-    their features well above the resolution.
+    their features well above the resolution.  Needs numpy and scipy,
+    which come with the package's `test` extra.
     """
     import numpy as np
     if not is_quantifier_free(X):
@@ -396,7 +388,6 @@ def check_component_bound(family, cap, env=None, ceiling=DEFAULT_CEILING,
     report records whether its cells drop in dimension and how many
     components of the set it meets.
     """
-    import numpy as np
     if not family:
         raise TopologyError("empty family")
     counts = {}
@@ -405,10 +396,12 @@ def check_component_bound(family, cap, env=None, ceiling=DEFAULT_CEILING,
         comps = connected_components(family[D], env=env, ceiling=ceiling)
         counts[D] = len(comps)
         parts[D] = comps
-    xs = [float(np.log(D)) for D in counts if D >= 1]
-    ys = [float(np.log(max(counts[D], 1))) for D in counts if D >= 1]
+    xs = [math.log(D) for D in counts if D >= 1]
+    ys = [math.log(max(counts[D], 1)) for D in counts if D >= 1]
     if len(set(xs)) >= 2:
-        exponent = float(np.polyfit(xs, ys, 1)[0])
+        mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+        exponent = (sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+                    / sum((x - mx) ** 2 for x in xs))
     else:
         exponent = 0.0
     top = max(family)

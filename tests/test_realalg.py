@@ -5,12 +5,12 @@ from fractions import Fraction
 
 import pytest
 import sympy as sp
+from hypothesis import given, settings, strategies as st
 
 from sharpcells.realalg import (
     Num,
     QQ,
     RealAlgebraError,
-    RootHandle,
     compare_roots,
     count_roots,
     isolate_roots,
@@ -25,10 +25,6 @@ from sharpcells.realalg import (
 
 def upoly(coeffs):
     return [Fraction(c) for c in coeffs]
-
-
-def handles(field, p):
-    return [RootHandle(field, e) for e in isolate_roots(field, p)]
 
 
 def test_sturm_count_matches_sympy():
@@ -52,7 +48,7 @@ def test_sturm_count_matches_sympy():
 def test_isolate_roots_exact_positions():
     # (x-1)(x-2)(x-3)(x-4)
     p = upoly([24, -50, 35, -10, 1])
-    hs = handles(QQ, p)
+    hs = isolate_roots(QQ, p)
     assert len(hs) == 4
     for h, want in zip(hs, [1, 2, 3, 4]):
         h.refine_below(Fraction(1, 100))
@@ -61,43 +57,44 @@ def test_isolate_roots_exact_positions():
 
 def test_rational_roots_isolated():
     p = upoly([-1, 0, 4])  # 4x^2 - 1
-    for h, want in zip(handles(QQ, p), [Fraction(-1, 2), Fraction(1, 2)]):
+    hs = isolate_roots(QQ, p)
+    for h, want in zip(hs, [Fraction(-1, 2), Fraction(1, 2)]):
         h.refine_below(Fraction(1, 10**6))
         assert h.lo <= want <= h.hi
 
 
 def test_rational_midpoint_does_not_hide_neighbors():
     # 0 shows up as a bisection midpoint; +-1 must still be found
-    hs = handles(QQ, upoly([0, 1, 0, -1]))  # x - x^3
+    hs = isolate_roots(QQ, upoly([0, 1, 0, -1]))  # x - x^3
     assert len(hs) == 3
     for h, want in zip(hs, [-1, 0, 1]):
         h.refine_below(Fraction(1, 100))
         assert h.lo <= want <= h.hi
     # same shape one degree up: roots 0, +-1, +-2
-    hs = handles(QQ, upoly([0, 4, 0, -5, 0, 1]))
+    hs = isolate_roots(QQ, upoly([0, 4, 0, -5, 0, 1]))
     assert len(hs) == 5
 
 
 def test_compare_and_separate_close_roots():
     # sqrt(2) and a 26-digit rational approximation of it
     a = Fraction(14142135623730950488016887, 10**25)
-    r1 = handles(QQ, upoly([-2, 0, 1]))[-1]
-    (r2,) = handles(QQ, upoly([-a, 1]))
+    r1 = isolate_roots(QQ, upoly([-2, 0, 1]))[-1]
+    (r2,) = isolate_roots(QQ, upoly([-a, 1]))
     assert compare_roots(r1, r2) == 1
     q = rational_between(r2, r1)
     assert a < q and q * q < 2
 
 
 def test_sort_roots_merges_duplicates():
-    a = handles(QQ, upoly([-2, 0, 1]))       # +-sqrt(2)
-    b = handles(QQ, upoly([-4, 0, 0, 0, 1]))  # +-sqrt(2) again
+    a = isolate_roots(QQ, upoly([-2, 0, 1]))        # +-sqrt(2)
+    b = isolate_roots(QQ, upoly([-4, 0, 0, 0, 1]))  # +-sqrt(2) again
     groups = sort_roots(a + b)
     assert len(groups) == 2
     assert all(len(g) == 2 for g in groups)
 
 
 def test_extension_field_arithmetic():
-    r = handles(QQ, upoly([-2, 0, 1]))[-1]
+    r = isolate_roots(QQ, upoly([-2, 0, 1]))[-1]
     K = r.as_extension()
     sqrt2 = Num(K, K.gen)
     assert (sqrt2 * sqrt2).as_fraction() == 2
@@ -110,11 +107,11 @@ def test_extension_field_arithmetic():
 
 
 def test_tower_of_extensions():
-    r2 = handles(QQ, upoly([-2, 0, 1]))[-1]
+    r2 = isolate_roots(QQ, upoly([-2, 0, 1]))[-1]
     K = r2.as_extension()
     # x^2 - 3 over K: coefficients [-3, 0, 1] as K payloads
     p3 = [num_in(K, -3).data, K.zero, K.one]
-    r3 = handles(K, p3)[-1]
+    r3 = isolate_roots(K, p3)[-1]
     L = r3.as_extension()
     sqrt2 = num_in(L, Num(K, K.gen))
     sqrt3 = Num(L, L.gen)
@@ -125,15 +122,15 @@ def test_tower_of_extensions():
 
 
 def test_incomparable_towers_rejected():
-    r2 = handles(QQ, upoly([-2, 0, 1]))[-1]
-    r3 = handles(QQ, upoly([-3, 0, 1]))[-1]
+    r2 = isolate_roots(QQ, upoly([-2, 0, 1]))[-1]
+    r3 = isolate_roots(QQ, upoly([-3, 0, 1]))[-1]
     K2, K3 = r2.as_extension(), r3.as_extension()
     with pytest.raises((RealAlgebraError, TypeError)):
         _ = Num(K2, K2.gen) + Num(K3, K3.gen)
 
 
 def test_root_bound_refines_leading_coefficient_near_zero():
-    K = handles(QQ, upoly([-2, 0, 1]))[-1].as_extension()
+    K = isolate_roots(QQ, upoly([-2, 0, 1]))[-1].as_extension()
     # sqrt(2) - 1414213/10^6 lies in (5.6e-7, 5.7e-7); at the first
     # precision its enclosing interval still contains 0
     lead = (Fraction(-1414213, 1000000), Fraction(1))
@@ -159,9 +156,67 @@ def test_root_bound_raises_when_lead_never_separates_from_zero():
 
 
 def test_vanishes_and_sign_of():
-    r = handles(QQ, upoly([-2, 0, 1]))[-1]
+    r = isolate_roots(QQ, upoly([-2, 0, 1]))[-1]
     assert r.vanishes(upoly([-2, 0, 1]))
     assert not r.vanishes(upoly([-1, 1]))
     assert r.sign_of(upoly([-1, 1])) == 1     # sqrt2 - 1 > 0
     assert r.sign_of(upoly([2, -1])) == 1     # 2 - sqrt2 > 0
     assert r.sign_of(upoly([-3, 1])) == -1
+
+
+def test_roots_over_an_extension_merge_and_order():
+    K = isolate_roots(QQ, upoly([-3, 0, 1]))[-1].as_extension()  # QQ(sqrt3)
+    y2 = [K.from_int(-2), K.zero, K.one]                  # y^2 - 2
+    y4 = [K.from_int(-4), K.zero, K.zero, K.zero, K.one]  # y^4 - 4
+    groups = sort_roots(isolate_roots(K, y2) + isolate_roots(K, y4))
+    assert len(groups) == 2
+    assert all(len(g) == 2 for g in groups)
+    (sqrt3,) = isolate_roots(K, [K.neg(K.gen), K.one])    # y - sqrt3
+    assert compare_roots(groups[1][0], sqrt3) == -1
+    assert compare_roots(sqrt3, groups[1][1]) == 1
+
+
+def test_extension_shrinks_its_own_copy_of_the_root():
+    hs = isolate_roots(QQ, upoly([6, 0, -5, 0, 1]))  # (x^2 - 2)(x^2 - 3)
+    r = hs[2]                                          # sqrt2
+    lo, hi = r.lo, r.hi
+    K = r.as_extension()
+    gen = Num(K, K.gen)
+    assert (gen * gen - 2).is_zero()
+    assert len(K.root.sqf) == 3                        # x^2 - 2
+    assert Num(K, K.inv((gen - 1).data)) * (gen - 1) == 1
+    K.approx(K.gen, 200)
+    assert K.root.hi - K.root.lo <= Fraction(1, 2**200)
+    assert (r.lo, r.hi) == (lo, hi)
+    assert len(r.sqf) == 5
+
+
+@st.composite
+def integer_factors(draw):
+    """One to three integer linear or quadratic factors, leading
+    coefficient nonzero, as coefficient lists (index = degree)."""
+    coeff = st.integers(-4, 4)
+    out = []
+    for _ in range(draw(st.integers(1, 3))):
+        deg = draw(st.integers(1, 2))
+        lead = draw(coeff.filter(lambda c: c != 0))
+        out.append([Fraction(draw(coeff)) for _ in range(deg)]
+                   + [Fraction(lead)])
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(integer_factors())
+def test_sort_roots_matches_sympy_real_roots(factors):
+    x = sp.Symbol("x")
+    product = sp.Integer(1)
+    handles = []
+    for f in factors:
+        product *= sum(int(c) * x**i for i, c in enumerate(f))
+        handles += isolate_roots(QQ, f)
+    groups = sort_roots(handles)
+    roots = sp.Poly(product, x).sqf_part().real_roots()
+    assert len(groups) == len(roots)
+    for group, root in zip(groups, roots):
+        for h in group:
+            assert sp.Rational(h.lo) <= root <= sp.Rational(h.hi)

@@ -176,3 +176,21 @@ def test_import_does_not_load_numpy():
     code = ("import sys, sharpcells, sharpcells.cli; "
             "assert 'numpy' not in sys.modules, 'numpy imported'")
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_growth_fit_runs_without_numpy():
+    # the least-squares slope is closed form, so the bound check needs no
+    # numpy; blocking the import makes any use of it fail
+    pkg = os.path.abspath(sharpcells.__file__)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pkg)))
+    code = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from fractions import Fraction\n"
+        "from sharpcells.parser import parse_formula\n"
+        "from sharpcells.topology import check_component_bound\n"
+        "family = {d: parse_formula(' * '.join(f'(x - {i})' for i in "
+        "range(1, d + 1)) + ' = 0') for d in (1, 2, 3)}\n"
+        "rep = check_component_bound(family, Fraction(3, 2))\n"
+        "assert rep['passed'] and abs(rep['exponent'] - 1) < 1e-9, rep\n")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
