@@ -9,7 +9,6 @@ named sets carrying their own format/degree annotation.
 from __future__ import annotations
 
 import itertools
-import threading
 from fractions import Fraction
 
 from .poly import Polynomial
@@ -243,15 +242,13 @@ class Environment:
 
     def __init__(self):
         self._sets = {}
-        self._lock = threading.Lock()
 
     def register(self, name, formula, fd):
-        with self._lock:
-            if name in self._sets:
-                if self._sets[name] != (formula, fd):
-                    raise FormulaError(f"name {name!r} already registered")
-                return
-            self._sets[name] = (formula, fd)
+        if name in self._sets:
+            if self._sets[name] != (formula, fd):
+                raise FormulaError(f"name {name!r} already registered")
+            return
+        self._sets[name] = (formula, fd)
 
     def lookup(self, name):
         try:

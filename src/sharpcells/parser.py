@@ -170,6 +170,10 @@ class _Parser:
         tok = self.next()
         if tok[1] not in ("=", ">", "<"):
             self.error("expected comparison operator", tok)
+        if tok[1] != "=" and self.peek()[1] == "=":
+            flip = "<" if tok[1] == ">" else ">"
+            self.error(f"'{tok[1]}=' is not supported; write "
+                       f"'not (p {flip} 0)' for 'p {tok[1]}= 0'", tok)
         zero = self.next()
         if zero[1] != "0":
             self.error("atom right-hand side must be 0", zero)

@@ -15,13 +15,16 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from sympy.polys.densebasic import dmp_from_dict, dmp_to_dict
+from sympy.polys.densetools import dup_primitive
 from sympy.polys.domains import ZZ
 from sympy.polys.euclidtools import (
     dmp_discriminant,
     dmp_resultant,
     dmp_subresultants,
+    dup_gcd,
 )
 from sympy.polys.factortools import dmp_factor_list, dup_factor_list
+from sympy.polys.sqfreetools import dup_sqf_part
 
 
 class Polynomial:
@@ -237,10 +240,10 @@ class Polynomial:
         """
         if not self.terms:
             return self
-        ints = _integers(self.terms.values())
-        g = gcd(*ints) if self.terms[max(self.terms)] > 0 else -gcd(*ints)
+        ints = primitive_integers(self.terms.values())
+        sign = 1 if self.terms[max(self.terms)] > 0 else -1
         return Polynomial(self.variables,
-                          {e: c // g for e, c in zip(self.terms, ints)})
+                          {e: sign * c for e, c in zip(self.terms, ints)})
 
     # -- printing ----------------------------------------------------------
 
@@ -288,6 +291,13 @@ def _integers(coeffs):
     return [c.numerator * (denom // c.denominator) for c in coeffs]
 
 
+def primitive_integers(coeffs):
+    """Fractions scaled by a positive rational to coprime ints."""
+    ints = _integers(coeffs)
+    g = gcd(*ints)
+    return [c // g for c in ints]
+
+
 def _to_dense(p, order):
     """p as a dense ZZ polynomial over the variables of order, outermost
     first."""
@@ -329,13 +339,34 @@ def factor(p: Polynomial):
             for f in _in_order(factors)]
 
 
+def _to_dup(coeffs):
+    return [ZZ(c) for c in reversed(_integers(coeffs))]
+
+
+def _from_dup(f):
+    return [Fraction(int(c)) for c in reversed(f)]
+
+
 def factor_univariate(coeffs):
     """Irreducible factors of a nonzero univariate polynomial over the
     rationals; coefficient lists of Fractions indexed by degree."""
-    dense = [ZZ(c) for c in reversed(_integers(coeffs))]
-    _, factors = dup_factor_list(dense, ZZ)
-    return [[Fraction(int(c)) for c in reversed(f)]
-            for f in _in_order(factors)]
+    _, factors = dup_factor_list(_to_dup(coeffs), ZZ)
+    return [_from_dup(f) for f in _in_order(factors)]
+
+
+def squarefree_univariate(coeffs):
+    """Squarefree part of a nonzero univariate polynomial over the
+    rationals, integer-primitive with positive leading coefficient; lists
+    as in factor_univariate."""
+    return _from_dup(dup_sqf_part(_to_dup(coeffs), ZZ))
+
+
+def gcd_univariate(p, q):
+    """Greatest common divisor of two nonzero univariate polynomials over
+    the rationals, integer-primitive with positive leading coefficient;
+    lists as in factor_univariate."""
+    _, g = dup_primitive(dup_gcd(_to_dup(p), _to_dup(q), ZZ), ZZ)
+    return _from_dup(g)
 
 
 def discriminant(p: Polynomial, var):

@@ -4,16 +4,23 @@ Every isolated real root is a RootHandle: a squarefree polynomial over a
 field with a rational interval holding exactly that root, or the root
 itself when it is rational.  One handle type serves root isolation,
 comparison and sorting, and the generators of field towers QQ(a1)(a2)...:
-an ExtensionField is built on its own copy of a handle.  Defining
-polynomials need not be irreducible: zero tests go through gcds plus Sturm
-root counting in the isolating interval, and inversion shrinks the
-defining polynomial when it discovers a factor without the selected root.
-All decisions are exact; floating point is never consulted.
+an ExtensionField is built on its own copy of a handle.
+
+Over the rationals the work runs on Python ints: roots are isolated by
+Descartes' rule of signs with bisection (Vincent-Collins-Akritas), and a
+sign at a rational a/b is a homogeneous Horner sum.  Over extension fields
+roots are isolated with Sturm chains.  Defining polynomials need not be
+irreducible: a root is a root of q exactly when gcd(sqf, q) changes sign
+across the isolating interval, and inversion shrinks the defining
+polynomial when it discovers a factor without the selected root.  All
+decisions are exact; floating point is never consulted.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+from .poly import gcd_univariate, primitive_integers, squarefree_univariate
 
 
 class RealAlgebraError(ArithmeticError):
@@ -163,9 +170,17 @@ def sturm_chain(field, p):
     return chain
 
 
-def _variations(signs):
-    signs = [s for s in signs if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
+def _variations(values):
+    """Sign variations in a sequence of numbers, zeros skipped."""
+    count, prev = 0, 0
+    for x in values:
+        if x > 0:
+            count += prev < 0
+            prev = 1
+        elif x < 0:
+            count += prev > 0
+            prev = -1
+    return count
 
 
 def count_roots(field, chain, a: Fraction, b: Fraction):
@@ -209,12 +224,16 @@ def isolate_roots(field, p):
 
     A root met exactly by bisection comes back rational; every other handle
     carries the squarefree part of p and an interval isolating one root.
+    Over QQ the integer kernel below isolates the roots; over extension
+    fields Sturm chains count them.
     """
     p = ptrim(field, p)
     if pzero(p):
         raise RealAlgebraError("cannot isolate roots of the zero polynomial")
     if pdeg(p) == 0:
         return []
+    if field is QQ:
+        return _isolate_rational(p)
     sqf = squarefree(field, p)
     chain = sturm_chain(field, sqf)
     bound = root_bound(field, sqf)
@@ -251,6 +270,152 @@ def isolate_roots(field, p):
 
     recurse(lo, hi, count_roots(field, chain, lo, hi))
     return out
+
+
+# ---------------------------------------------------------------------------
+# integer kernel over QQ: signs and Descartes root isolation on Python ints
+# ---------------------------------------------------------------------------
+
+
+def _int_sign(ints, x):
+    """Sign of an integer polynomial at the rational x = a/b (b > 0): the
+    sign of sum c_i a^i b^(n-i), by Horner's rule."""
+    a, b = x.numerator, x.denominator
+    acc, bk = 0, 1
+    for c in reversed(ints):
+        acc = acc * a + c * bk
+        bk *= b
+    return (acc > 0) - (acc < 0)
+
+
+def _sign_at(field, p, x: Fraction):
+    """Sign of the polynomial p over field at the rational x."""
+    if field is QQ:
+        return _int_sign(primitive_integers(p), x)
+    return field.sign(peval_frac(field, p, x))
+
+
+def _gcd(field, p, q):
+    if field is QQ:
+        return gcd_univariate(p, q)
+    return pgcd(field, p, q)
+
+
+def _changes_sign(field, g, lo: Fraction, hi: Fraction):
+    """Whether g has opposite signs at lo and hi.  For g dividing a
+    squarefree polynomial with one root in (lo, hi) and no root at lo or
+    hi, this says exactly whether that root is a root of g."""
+    return _sign_at(field, g, lo) * _sign_at(field, g, hi) < 0
+
+
+def _taylor_shift(c):
+    """Coefficients of c(y + 1)."""
+    c = list(c)
+    n = len(c) - 1
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            c[j] += c[j + 1]
+    return c
+
+
+def _bound_exp(c):
+    """k with every root of the integer polynomial c strictly below 2^k in
+    absolute value: Fujiwara's bound 2 max |c_(n-i) / c_n|^(1/i), rounded up
+    through bit lengths."""
+    n = len(c) - 1
+    lead = abs(c[n]).bit_length() - 1
+    return 1 + max(-((lead - abs(c[n - i]).bit_length()) // i)
+                   for i in range(1, n + 1) if c[n - i])
+
+
+def _dyadic(a, e):
+    """a / 2^e as a Fraction, for any integer e."""
+    return Fraction(a, 1 << e) if e >= 0 else Fraction(a << -e)
+
+
+def _positive_roots(c):
+    """The positive roots of a squarefree integer polynomial c with
+    c(0) != 0, as isolating intervals (lo, hi) and exact roots (x, x).
+
+    Node (a, e, q) stands for the interval 2^k (a/2^e, (a+1)/2^e), whose
+    roots are the roots of q in (0, 1); Descartes' rule applied to
+    (y+1)^n q(1/(y+1)) bounds their number, and is exact when it says 0
+    or 1.  Children halve the interval: 2^n q(y/2) and its shift by 1.
+    """
+    n = len(c) - 1
+    if n < 1:
+        return []
+    k = _bound_exp(c)
+    if k >= 0:  # q(y) = p(2^k y), up to a positive power of two
+        q = [ci << (k * i) for i, ci in enumerate(c)]
+    else:
+        q = [ci << (-k * (n - i)) for i, ci in enumerate(c)]
+    out = []
+    todo = [(0, 0, q)]
+    while todo:
+        a, e, q = todo.pop()
+        v = _variations(_taylor_shift(q[::-1]))
+        if v == 0:
+            continue
+        if v == 1:
+            out.append((_dyadic(a, e - k), _dyadic(a + 1, e - k)))
+            continue
+        m = len(q) - 1
+        left = [ci << (m - i) for i, ci in enumerate(q)]
+        bits = 0
+        for ci in left:
+            bits |= ci
+        twos = (bits & -bits).bit_length() - 1  # left is divisible by 2^twos
+        if twos:
+            left = [ci >> twos for ci in left]
+        right = _taylor_shift(left)
+        if right[0] == 0:  # the midpoint is a root
+            x = _dyadic(2 * a + 1, e + 1 - k)
+            out.append((x, x))
+            right = right[1:]
+        todo.append((2 * a + 1, e + 1, right))
+        todo.append((2 * a, e + 1, left))
+    return out
+
+
+def _isolate_rational(p):
+    """isolate_roots over QQ, on the primitive integer squarefree part."""
+    if pdeg(p) == 1:
+        return [RootHandle.rational(QQ, -Fraction(p[0]) / p[1])]
+    ints = primitive_integers(squarefree_univariate(p))
+    sqf = [Fraction(c) for c in ints]
+    rest, found = ints, []
+    if ints[0] == 0:
+        found.append((Fraction(0), Fraction(0)))
+        rest = ints[1:]
+    mirrored = [-ci if i % 2 else ci for i, ci in enumerate(rest)]
+    found.extend((-hi, -lo) for lo, hi in _positive_roots(mirrored))
+    found.extend(_positive_roots(rest))
+    roots = {lo for lo, hi in found if lo == hi}
+    deriv = [i * ci for i, ci in enumerate(ints)][1:]
+    handles = []
+    for lo, hi in sorted(found):
+        if lo in roots or hi in roots:
+            # an end at a root r: sqf has the sign of sqf'(r) from the
+            # lower end up to the isolated root, the opposite sign above it
+            s = _int_sign(deriv, lo if lo in roots else hi)
+            while lo in roots or hi in roots:
+                mid = (lo + hi) / 2
+                smid = _int_sign(ints, mid)
+                if smid == 0:
+                    lo = hi = mid
+                    break
+                if smid == s:
+                    lo = mid
+                else:
+                    hi = mid
+        if lo == hi:
+            handles.append(RootHandle.rational(QQ, lo))
+        else:
+            handle = RootHandle(QQ, sqf, lo, hi)
+            handle._ints = ints
+            handles.append(handle)
+    return handles
 
 
 # ---------------------------------------------------------------------------
@@ -337,10 +502,7 @@ class ExtensionField:
         self.root = root.copy()
         if root.exact is not None or pdeg(root.sqf) < 1:
             raise RealAlgebraError("defining polynomial must be nonconstant")
-        f, m = root.field, root.sqf
-        if f.raw_is_zero(peval_frac(f, m, root.lo)) or f.raw_is_zero(
-            peval_frac(f, m, root.hi)
-        ):
+        if root.sign_at(root.lo) == 0 or root.sign_at(root.hi) == 0:
             raise RealAlgebraError("isolating interval endpoints must be non-roots")
 
     # elements -------------------------------------------------------------
@@ -566,7 +728,9 @@ class RootHandle:
     interval (lo, hi) holding exactly one of its roots; the endpoints are
     never roots.  A rational handle holds the root itself as exact, with
     lo = hi = exact.  Bisection may land on an algebraic root, which then
-    becomes exact too.
+    becomes exact too.  Over QQ the handle keeps the primitive integer
+    coefficients of sqf for its signs, made on first use and again after
+    sqf is cut down.
     """
 
     def __init__(self, field, sqf, lo: Fraction, hi: Fraction):
@@ -576,6 +740,15 @@ class RootHandle:
         self.hi = hi
         self.exact = None
 
+    @property
+    def sqf(self):
+        return self._sqf
+
+    @sqf.setter
+    def sqf(self, p):
+        self._sqf = p
+        self._ints = None
+
     @classmethod
     def rational(cls, field, x: Fraction):
         handle = cls(field, None, x, x)
@@ -584,11 +757,20 @@ class RootHandle:
 
     def copy(self):
         handle = RootHandle(self.field, self.sqf, self.lo, self.hi)
+        handle._ints = self._ints
         handle.exact = self.exact
         return handle
 
     def is_rational(self):
         return self.exact is not None
+
+    def sign_at(self, x: Fraction):
+        """Sign of sqf at the rational x."""
+        if self.field is not QQ:
+            return _sign_at(self.field, self.sqf, x)
+        if self._ints is None:
+            self._ints = primitive_integers(self.sqf)
+        return _int_sign(self._ints, x)
 
     def refine(self):
         """Halve the isolating interval, or land on the root."""
@@ -598,11 +780,10 @@ class RootHandle:
         """Bisect until the interval is at most width wide."""
         if self.exact is not None:
             return
-        f = self.field
-        slo = f.sign(peval_frac(f, self.sqf, self.lo))
+        slo = self.sign_at(self.lo)
         while self.hi - self.lo > width:
             mid = (self.lo + self.hi) / 2
-            smid = f.sign(peval_frac(f, self.sqf, mid))
+            smid = self.sign_at(mid)
             if smid == 0:
                 self.exact = mid
                 self.lo = self.hi = mid
@@ -615,20 +796,20 @@ class RootHandle:
     def vanishes(self, q, shrink=False):
         """Does the UPoly q (over the same field) vanish at this root?
 
-        The root is a root of q exactly when g = gcd(sqf, q) has a root in
-        the isolating interval.  With shrink=True a vanishing q also cuts
-        sqf down to g, which still carries the root.
+        The root is a root of q exactly when g = gcd(sqf, q) changes sign
+        across the isolating interval.  With shrink=True a vanishing q also
+        cuts sqf down to g, which still carries the root.
         """
         f = self.field
         q = ptrim(f, list(q))
         if pzero(q):
             return True
         if self.exact is not None:
-            return f.raw_is_zero(peval_frac(f, q, self.exact))
-        g = pgcd(f, self.sqf, q)
-        if pdeg(g) < 1:
+            return _sign_at(f, q, self.exact) == 0
+        if pdeg(q) == 0:
             return False
-        if count_roots(f, sturm_chain(f, g), self.lo, self.hi) == 0:
+        g = _gcd(f, self.sqf, q)
+        if pdeg(g) < 1 or not _changes_sign(f, g, self.lo, self.hi):
             return False
         if shrink:
             self.sqf = g
@@ -674,27 +855,29 @@ def compare_roots(r1: RootHandle, r2: RootHandle):
     f = r1.field
     if r1.is_rational() and r2.is_rational():
         return (r1.exact > r2.exact) - (r1.exact < r2.exact)
+    g = None
     for _ in range(10_000):
         if r1.hi < r2.lo:
             return -1
         if r2.hi < r1.lo:
             return 1
-        # overlapping intervals: equal only if they share a root
+        # overlapping intervals: equal only if they share a root.  Each
+        # interval holds one root of its own sqf and no endpoint is a root,
+        # so a rational inside the other interval is that root exactly
+        # when it is a root of sqf, and a root of the gcd inside both
+        # intervals is both roots.
         if r1.is_rational():
-            if r2.vanishes([f.from_fraction(-r1.exact), f.one]):
+            if r2.sign_at(r1.exact) == 0:
                 return 0
         elif r2.is_rational():
-            if r1.vanishes([f.from_fraction(-r2.exact), f.one]):
+            if r1.sign_at(r2.exact) == 0:
                 return 0
         else:
-            # each interval holds one root of its own sqf and no endpoint
-            # is a root, so a root of the gcd inside both intervals is
-            # both roots
+            if g is None:
+                g = _gcd(f, r1.sqf, r2.sqf)
             lo = max(r1.lo, r2.lo)
             hi = min(r1.hi, r2.hi)
-            g = pgcd(f, r1.sqf, r2.sqf)
-            if lo < hi and pdeg(g) >= 1 and count_roots(
-                    f, sturm_chain(f, g), lo, hi) > 0:
+            if lo < hi and pdeg(g) >= 1 and _changes_sign(f, g, lo, hi):
                 return 0
         r1.refine()
         r2.refine()

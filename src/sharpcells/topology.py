@@ -3,8 +3,8 @@ stratification, triangulation in one and two variables, and Betti numbers.
 
 Adjacency in the plane is decided exactly: over each base interval the
 section curves are root functions of the stack polynomials, and their
-one-sided limits at the interval endpoints are computed by exact root
-counting between rational separators.  Three-dimensional adjacency is
+one-sided limits at the interval endpoints are found by exactly comparing
+isolated roots with rational separators.  Three-dimensional adjacency is
 sampling-based and flagged as heuristic.
 """
 
@@ -35,14 +35,11 @@ from .formula import (
 )
 from .realalg import (
     QQ,
+    RootHandle,
     compare_roots,
-    count_roots,
     isolate_roots,
     ptrim,
     rational_between,
-    root_bound,
-    squarefree,
-    sturm_chain,
 )
 
 
@@ -127,16 +124,18 @@ def _limit_codes(decomp, P, x0, seps, count):
     candidate (1-based), len(seps) for plus infinity.
     """
     up = ptrim(QQ, [Fraction(c.eval([x0])) for c in P.coeffs_in_last()])
-    sqf = squarefree(QQ, up)
-    chain = sturm_chain(QQ, sqf)
-    bound = root_bound(QQ, sqf) + max(abs(t) for t in seps) + 1
+    separators = [RootHandle.rational(QQ, t) for t in seps]
     codes = []
-    lo = -bound
-    for i, t in enumerate(seps):
-        n = count_roots(QQ, chain, lo, t)
-        codes.extend([i] * n)
-        lo = t
-    codes.extend([len(seps)] * (count - len(codes)))
+    for h in isolate_roots(QQ, up):
+        code = 0
+        for sep in separators:
+            c = compare_roots(h, sep)
+            if c == 0:
+                raise TopologyError("a root curve meets a separator")
+            if c < 0:
+                break
+            code += 1
+        codes.append(code)
     if len(codes) != count:
         raise TopologyError("root accounting mismatch near a section")
     return codes

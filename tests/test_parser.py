@@ -72,3 +72,13 @@ def test_error_positions():
         assert exc.line == 2
     else:
         raise AssertionError("expected a parse error")
+
+
+def test_non_strict_comparison_names_the_operator():
+    for text, op, hint in [("x^2 + y^2 - 1 <= 0", "<=", "not (p > 0)"),
+                           ("x >= 0", ">=", "not (p < 0)")]:
+        with pytest.raises(ParseError) as info:
+            parse_formula(text)
+        assert f"'{op}' is not supported" in str(info.value)
+        assert hint in str(info.value)
+        assert info.value.col == text.index(op) + 1

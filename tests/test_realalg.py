@@ -7,14 +7,20 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
+import sharpcells.realalg as realalg
+from sharpcells.cad import compatible_decomposition, sample_in_cell
+from sharpcells.parser import parse_formula
 from sharpcells.realalg import (
     Num,
     QQ,
     RealAlgebraError,
+    RootHandle,
     compare_roots,
     count_roots,
     isolate_roots,
     num_in,
+    peval_frac,
+    pgcd,
     rational_between,
     root_bound,
     sort_roots,
@@ -220,3 +226,162 @@ def test_sort_roots_matches_sympy_real_roots(factors):
     for group, root in zip(groups, roots):
         for h in group:
             assert sp.Rational(h.lo) <= root <= sp.Rational(h.hi)
+
+
+@st.composite
+def clustered_products(draw):
+    """Products of integer linear and quadratic factors, some repeated:
+    dyadic and other rational roots, roots at 0, negative roots, pairs of
+    roots 2^-k or 1/m apart, and irreducible quadratics."""
+    factors = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["rational", "dyadic", "zero", "pair",
+                                     "quadratic"]))
+        if kind == "rational":
+            r = Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 7)))
+            new = [[-r, Fraction(1)]]
+        elif kind == "dyadic":
+            r = Fraction(draw(st.integers(-15, 15)),
+                         2 ** draw(st.integers(0, 4)))
+            new = [[-r, Fraction(1)]]
+        elif kind == "zero":
+            new = [[Fraction(0), Fraction(1)]]
+        elif kind == "pair":
+            r = Fraction(draw(st.integers(-5, 5)), draw(st.integers(1, 3)))
+            gap = draw(st.sampled_from([Fraction(1, 2**20), Fraction(1, 1000),
+                                        Fraction(1, 3**9)]))
+            new = [[-r, Fraction(1)], [-r - gap, Fraction(1)]]
+        else:
+            new = [[Fraction(draw(st.integers(-6, 6))),
+                    Fraction(draw(st.integers(-6, 6))),
+                    Fraction(draw(st.integers(1, 4)))]]
+        if draw(st.integers(0, 4)) == 0:
+            new = new * 2
+        factors += new
+    return factors
+
+
+def _product(factors):
+    out = [Fraction(1)]
+    for f in factors:
+        out = realalg.pmul(QQ, out, f)
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(clustered_products())
+def test_integer_isolation_matches_sympy_and_sturm(factors):
+    p = _product(factors)
+    handles = isolate_roots(QQ, p)
+    x = sp.Symbol("x")
+    expr = sum(sp.Rational(c.numerator, c.denominator) * x**i
+               for i, c in enumerate(p))
+    roots = sp.Poly(expr, x).real_roots()
+    roots = [r for i, r in enumerate(roots) if i == 0 or r != roots[i - 1]]
+    assert len(handles) == len(roots)
+    sqf = squarefree(QQ, p)
+    chain = sturm_chain(QQ, sqf)
+    for h, root in zip(handles, roots):
+        if h.is_rational():
+            assert sp.Rational(h.exact) == root
+            continue
+        assert sp.Rational(h.lo) < root < sp.Rational(h.hi)
+        assert peval_frac(QQ, sqf, h.lo) != 0
+        assert peval_frac(QQ, sqf, h.hi) != 0
+        assert count_roots(QQ, chain, h.lo, h.hi) == 1
+    for h1, h2 in zip(handles, handles[1:]):
+        assert h1.hi <= h2.lo
+
+
+def _sturm_vanishes(field, handle, q):
+    """The zero test by a Sturm count of gcd(sqf, q) in the interval."""
+    g = pgcd(field, handle.sqf, q)
+    return len(g) >= 2 and count_roots(
+        field, sturm_chain(field, g), handle.lo, handle.hi) > 0
+
+
+def _sturm_equal(field, h1, h2):
+    """Equality by a Sturm count of the gcd in both intervals; a rational
+    root x counts as the root of y - x in (x - 1, x + 1)."""
+    def parts(h):
+        if h.is_rational():
+            x = h.exact
+            return [field.from_fraction(-x), field.one], x - 1, x + 1
+        return h.sqf, h.lo, h.hi
+
+    (p1, lo1, hi1), (p2, lo2, hi2) = parts(h1), parts(h2)
+    lo, hi = max(lo1, lo2), min(hi1, hi2)
+    g = pgcd(field, p1, p2)
+    return lo < hi and len(g) >= 2 and count_roots(
+        field, sturm_chain(field, g), lo, hi) > 0
+
+
+def _zero_test_cases(over_sqrt3):
+    """(field, root handles, test polynomials) over QQ or QQ(sqrt3)."""
+    if not over_sqrt3:
+        F = QQ
+        y = [Fraction(0), Fraction(1)]
+        const = Fraction
+        gen = None
+    else:
+        F = isolate_roots(QQ, upoly([-3, 0, 1]))[-1].as_extension()
+        y = [F.zero, F.one]
+        const = F.from_int
+        gen = F.gen
+
+    def poly(*cs):
+        return realalg.ptrim(F, [const(c) if isinstance(c, int) else c
+                                 for c in cs])
+
+    # (y^2 - 2)(y^2 - 3)(y - 1/2) and y^4 - 4 = (y^2 - 2)(y^2 + 2)
+    half = F.from_fraction(Fraction(-1, 2))
+    base = realalg.pmul(F, poly(6, 0, -5, 0, 1), [half, F.one])
+    handles = isolate_roots(F, base) + isolate_roots(F, poly(-4, 0, 0, 0, 1))
+    qs = [poly(-2, 0, 1), poly(-3, 0, 1), poly(-1, 1), poly(5),
+          realalg.pmul(F, poly(-2, 0, 1), poly(5, 1)), poly(-1, 2),
+          poly(-4, 0, 0, 0, 1), y]
+    if gen is not None:
+        qs += [[F.neg(gen), F.one], [gen, F.one],
+               realalg.pmul(F, [F.neg(gen), F.one], poly(-1, 1))]
+    return F, handles, qs
+
+
+@pytest.mark.parametrize("over_sqrt3", [False, True])
+def test_sign_change_zero_test_agrees_with_sturm(over_sqrt3):
+    F, handles, qs = _zero_test_cases(over_sqrt3)
+    for h in handles:
+        for q in qs:
+            want = _sturm_vanishes(F, h, q)
+            assert h.copy().vanishes(q) == want
+            cut = h.copy()
+            assert cut.vanishes(q, shrink=True) == want
+            if want and not cut.is_rational():
+                assert len(cut.sqf) == len(pgcd(F, h.sqf, q))
+                assert count_roots(F, sturm_chain(F, cut.sqf),
+                                   cut.lo, cut.hi) == 1
+    rationals = [RootHandle.rational(F, Fraction(1, 2)),
+                 RootHandle.rational(F, Fraction(3, 2))]
+    for h1 in handles + rationals:
+        for h2 in handles + rationals:
+            want = _sturm_equal(F, h1, h2)
+            assert (compare_roots(h1.copy(), h2.copy()) == 0) == want
+
+
+def test_plane_cad_builds_no_sturm_chain_over_qq(monkeypatch):
+    real_sturm_chain = sturm_chain
+    fields = []
+
+    def guarded(field, p):
+        if field is QQ:
+            raise AssertionError("Sturm chain over QQ")
+        fields.append(field)
+        return real_sturm_chain(field, p)
+
+    monkeypatch.setattr(realalg, "sturm_chain", guarded)
+    sets = [parse_formula("x^2 + y^2 - 2 < 0"),
+            parse_formula("y^3 - x*y - 1 = 0")]
+    decomp = compatible_decomposition(sets)
+    rng = random.Random(5)
+    for cell in decomp.cells:
+        sample_in_cell(decomp, cell, rng, count=2)
+    assert fields  # stacks over algebraic abscissae still use Sturm chains
