@@ -1,10 +1,10 @@
 """Exact cylindrical algebraic decomposition over the rationals (dim <= 3).
 
-Projection uses a reduced set (coefficient chain, discriminants, pairwise
-resultants) over an irreducible factor basis, falling back to the full
-subresultant-based set wherever a leading coefficient chain degenerates.  Lifting is exact: sector samples are
-rational, section samples are real algebraic numbers in field towers from
-realalg.  Every sign decision goes through exact arithmetic.
+Projection is McCallum's reduced set (coefficient chain, discriminants,
+pairwise resultants) over an irreducible factor basis; in at most three
+variables it needs no Collins fallback.  Lifting is exact: sector samples
+are rational, section samples are real algebraic numbers in field towers
+from realalg.  Every sign decision goes through exact arithmetic.
 """
 
 from __future__ import annotations
@@ -34,13 +34,13 @@ from .poly import (
     factor,
     factor_univariate,
     resultant,
-    subresultant_coeffs,
 )
 from .realalg import (
     QQ,
     Num,
     RootHandle,
     isolate_roots,
+    isolate_squarefree,
     num_in,
     pdeg,
     ptrim,
@@ -55,15 +55,6 @@ class CADError(Exception):
 
 class CeilingError(CADError):
     """Requested dimension exceeds the configured ceiling."""
-
-
-class ProjectionDegeneracy(CADError):
-    def __init__(self, poly):
-        super().__init__(
-            f"nullified leading coefficient chain for {poly}; "
-            "retry with projection='collins'"
-        )
-        self.poly = poly
 
 
 DEFAULT_CEILING = 3
@@ -161,13 +152,17 @@ def factor_basis(polys, variables):
     return out
 
 
-def project_polys(polys, variables=None, method="mccallum"):
+def project_polys(polys, variables=None):
     """Projection of a set of polynomials, eliminating the last variable.
 
-    The output (in one fewer variable) contains coefficient chains,
-    discriminants, and pairwise resultants of an irreducible factor basis;
-    method='collins' adds full subresultant coefficient sets instead of
-    failing on a nullified coefficient chain.
+    The output (in one fewer variable) holds, for each irreducible factor
+    q, its coefficients in the last variable from the top down to the
+    first nonzero constant, its discriminant, and the pairwise resultants.
+    Onto one variable only the leading coefficient is kept: an irreducible
+    q cannot vanish identically over a point of the line (Brown 2001).
+    Onto the plane an irreducible q vanishes identically over at most
+    finitely many points, the common zeros of its kept coefficients, and
+    these become 0-cells, so no Collins fallback is needed (McCallum 1988).
     """
     polys = list(polys)
     if not polys:
@@ -195,49 +190,31 @@ def project_polys(polys, variables=None, method="mccallum"):
         add(q)
 
     for q in active:
-        coeffs = q.coeffs_in_last()
-        chain_ok = False
-        for c in reversed(coeffs):
+        for c in reversed(q.coeffs_in_last()):
             if c.is_zero():
                 continue
             if c.is_constant():
-                chain_ok = True
                 break
             add(c)
-        if not chain_ok and method == "mccallum":
-            raise ProjectionDegeneracy(q)
+            if len(variables) == 2:
+                break
         if q.degree_in(last) >= 2:
             add(discriminant(q, last))
-        if method == "collins":
-            for c in subresultant_coeffs(q, q.derivative(last), last):
-                add(c)
 
     for i in range(len(active)):
         for j in range(i + 1, len(active)):
             add(resultant(active[i], active[j], last))
-            if method == "collins":
-                for c in subresultant_coeffs(active[i], active[j], last):
-                    add(c)
 
     return out
 
 
-def _project(polys, variables, method):
-    """project_polys, falling back to the Collins set when the McCallum set
-    meets a nullified leading coefficient chain."""
-    try:
-        return project_polys(polys, variables, method=method)
-    except ProjectionDegeneracy:
-        return project_polys(polys, variables, method="collins")
-
-
-def _eliminate(polys, order, keep, method):
+def _eliminate(polys, order, keep):
     """Project polys down the variable order until only its first keep
     variables are left."""
     work = [p.extend(tuple(order)) for p in polys]
     while len(order) > keep:
         nonconst = [p for p in work if not p.is_constant()]
-        work = _project(nonconst, tuple(order), method) if nonconst else []
+        work = project_polys(nonconst, tuple(order)) if nonconst else []
         order = order[:-1]
     return work
 
@@ -265,7 +242,7 @@ def _root_handles(field, up, factor=True):
             b, a = coeffs
             handles.append(RootHandle.rational(QQ, -b / a))
         else:
-            handles.extend(isolate_roots(QQ, coeffs))
+            handles.extend(isolate_squarefree(coeffs))
     return handles
 
 
@@ -440,7 +417,7 @@ def _lift_cells(base_cell, stack):
 # ---------------------------------------------------------------------------
 
 
-def cad(polys, variables=None, ceiling=DEFAULT_CEILING, projection="mccallum"):
+def cad(polys, variables=None, ceiling=DEFAULT_CEILING):
     """Sign-invariant cylindrical decomposition of R^len(variables)."""
     polys = list(polys)
     if variables is None:
@@ -457,10 +434,10 @@ def cad(polys, variables=None, ceiling=DEFAULT_CEILING, projection="mccallum"):
         raise CeilingError(
             f"dimension {len(variables)} exceeds ceiling {ceiling}")
     basis = factor_basis(polys, variables)
-    return _cad_levels(basis, variables, projection, polys)
+    return _cad_levels(basis, variables, polys)
 
 
-def _cad_levels(basis, variables, projection, inputs):
+def _cad_levels(basis, variables, inputs):
     if len(variables) == 1:
         virtual_base = Cell((), QQ, [], 0)
         stack = _build_stack(QQ, [], basis)
@@ -468,10 +445,10 @@ def _cad_levels(basis, variables, projection, inputs):
         d = CellDecomposition(variables, basis, cells, None, inputs)
         d.stacks[()] = stack
         return d
-    proj = _project(basis, variables, projection) if basis else []
+    proj = project_polys(basis, variables) if basis else []
     base = _cad_levels(
         factor_basis(proj, variables[:-1]) if proj else [],
-        variables[:-1], projection, proj)
+        variables[:-1], proj)
     d = CellDecomposition(variables, basis, [], base, inputs)
     cells = []
     for base_cell in base.cells:
@@ -815,7 +792,7 @@ def _test_points(psi, point, ceiling):
     if stray:
         raise CADError(f"stray variables {stray} in quantified body")
     keep = full.index(var) + 1
-    work = _eliminate(polys, full, keep, "mccallum")
+    work = _eliminate(polys, full, keep)
     full = full[:keep]
     assigned = full[:-1]
     field = _deepest_field(_as_num(point[v]) for v in assigned)
@@ -835,7 +812,7 @@ def _test_points(psi, point, ceiling):
 
 
 def compatible_decomposition(sets, variables=None, env=None,
-                             ceiling=DEFAULT_CEILING, projection="mccallum"):
+                             ceiling=DEFAULT_CEILING):
     """A cylindrical decomposition of R^n compatible with the given sets.
 
     Each input formula defines a subset of the common ambient space; every
@@ -892,11 +869,10 @@ def compatible_decomposition(sets, variables=None, env=None,
             order = list(variables) + list(bvars)
             if len(order) > ceiling:
                 raise CeilingError("elimination depth exceeds ceiling")
-            for p in _eliminate(quant_polys, order, len(variables),
-                                projection):
+            for p in _eliminate(quant_polys, order, len(variables)):
                 add(p)
 
-    d = cad(polys, variables, ceiling=ceiling, projection=projection)
+    d = cad(polys, variables, ceiling=ceiling)
     for c in d.cells:
         point = c.sample_dict(variables)
         c.memberships = tuple(decide(s, point, ceiling=ceiling) for s in sets)

@@ -5,8 +5,8 @@ the term map always have the same length as the variable tuple.  The zero
 polynomial has an empty term map and total degree 0 by convention.
 
 This module is the library's only boundary to sympy.  Factoring,
-discriminants, resultants and subresultants run on sympy's dense integer
-polynomials over ZZ; no sympy expression is ever built.
+discriminants and resultants run on sympy's dense integer polynomials over
+ZZ; no sympy expression is ever built.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from sympy.polys.domains import ZZ
 from sympy.polys.euclidtools import (
     dmp_discriminant,
     dmp_resultant,
-    dmp_subresultants,
     dup_gcd,
 )
 from sympy.polys.factortools import dmp_factor_list, dup_factor_list
@@ -380,10 +379,3 @@ def resultant(p: Polynomial, q: Polynomial, var):
     rest, (f, g) = _eliminating(var, p, q)
     return _from_dense(dmp_resultant(f, g, len(rest), ZZ), rest)
 
-
-def subresultant_coeffs(p: Polynomial, q: Polynomial, var):
-    """Every coefficient in var of every member of the subresultant PRS of
-    p and q, as polynomials in the remaining variables."""
-    rest, (f, g) = _eliminating(var, p, q)
-    return [_from_dense(c, rest)
-            for s in dmp_subresultants(f, g, len(rest), ZZ) for c in s]

@@ -233,7 +233,9 @@ def isolate_roots(field, p):
     if pdeg(p) == 0:
         return []
     if field is QQ:
-        return _isolate_rational(p)
+        if pdeg(p) == 1:
+            return [RootHandle.rational(QQ, -Fraction(p[0]) / p[1])]
+        return isolate_squarefree(squarefree_univariate(p))
     sqf = squarefree(field, p)
     chain = sturm_chain(field, sqf)
     bound = root_bound(field, sqf)
@@ -378,11 +380,10 @@ def _positive_roots(c):
     return out
 
 
-def _isolate_rational(p):
-    """isolate_roots over QQ, on the primitive integer squarefree part."""
-    if pdeg(p) == 1:
-        return [RootHandle.rational(QQ, -Fraction(p[0]) / p[1])]
-    ints = primitive_integers(squarefree_univariate(p))
+def isolate_squarefree(p):
+    """isolate_roots over QQ for a p already known to be squarefree, such
+    as an irreducible factor: the integer kernel alone."""
+    ints = primitive_integers(p)
     sqf = [Fraction(c) for c in ints]
     rest, found = ints, []
     if ints[0] == 0:
@@ -797,8 +798,10 @@ class RootHandle:
         """Does the UPoly q (over the same field) vanish at this root?
 
         The root is a root of q exactly when g = gcd(sqf, q) changes sign
-        across the isolating interval.  With shrink=True a vanishing q also
-        cuts sqf down to g, which still carries the root.
+        across the isolating interval; a linear q over QQ needs no gcd, its
+        root must lie inside the interval and be a root of sqf.  With
+        shrink=True a vanishing q also cuts sqf down to g, which still
+        carries the root.
         """
         f = self.field
         q = ptrim(f, list(q))
@@ -808,12 +811,15 @@ class RootHandle:
             return _sign_at(f, q, self.exact) == 0
         if pdeg(q) == 0:
             return False
-        g = _gcd(f, self.sqf, q)
-        if pdeg(g) < 1 or not _changes_sign(f, g, self.lo, self.hi):
-            return False
-        if shrink:
+        if f is QQ and pdeg(q) == 1:
+            g, r = q, -Fraction(q[0]) / q[1]
+            found = self.lo < r < self.hi and self.sign_at(r) == 0
+        else:
+            g = _gcd(f, self.sqf, q)
+            found = pdeg(g) >= 1 and _changes_sign(f, g, self.lo, self.hi)
+        if found and shrink:
             self.sqf = g
-        return True
+        return found
 
     def enclose(self, q, prec):
         """Rational interval containing q at this root, evaluated on the

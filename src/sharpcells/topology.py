@@ -586,12 +586,11 @@ def betti(K: SimplicialComplex):
 # ---------------------------------------------------------------------------
 
 
-def _approx_coords(cell, prec=40):
-    out = []
-    for c in cell.coords:
-        lo, hi = c.approx(prec)
-        out.append((lo + hi) / 2)
-    return tuple(out)
+def _vertex_coords(cell, prec=40):
+    """Midpoints of 2^-prec enclosures of the cell's sample coordinates,
+    and whether they are the sample itself (every coordinate rational)."""
+    coords = tuple(sum(c.approx(prec)) / 2 for c in cell.coords)
+    return coords, all(c.as_fraction() is not None for c in cell.coords)
 
 
 def _check_closed_bounded(decomp, graph, inside):
@@ -620,8 +619,10 @@ def triangulate(X: Formula, subsets=(), env=None, ceiling=DEFAULT_CEILING):
 
     Zero-cells become vertices; one-cells are subdivided at their sample
     point into two edges; two-cells are coned from their sample point over
-    their boundary edges.  Returns the complex and a per-cell map
-    description; simplices inherit the labels of the originating cell.
+    their boundary edges.  Returns the complex and a description: the
+    simplices of each cell, and per vertex "exact" (a rational sample) or
+    "approximate" (midpoints of enclosures of an algebraic sample).
+    Simplices inherit the labels of the originating cell.
     """
     if env is not None:
         X = resolve_named(X, env)
@@ -638,19 +639,19 @@ def triangulate(X: Formula, subsets=(), env=None, ceiling=DEFAULT_CEILING):
     inset = set(inside)
     vid = {}
     coords = []
+    kinds = []
 
-    def vertex(path):
-        if path not in vid:
-            vid[path] = len(coords)
-            coords.append(_approx_coords(decomp.cell_at(path)))
-        return vid[path]
-
-    def midpoint(path):
-        key = path + ("mid",)
+    def vertex(path, key=None):
+        key = key or path
         if key not in vid:
             vid[key] = len(coords)
-            coords.append(_approx_coords(decomp.cell_at(path)))
+            point, exact = _vertex_coords(decomp.cell_at(path))
+            coords.append(point)
+            kinds.append("exact" if exact else "approximate")
         return vid[key]
+
+    def midpoint(path):
+        return vertex(path, path + ("mid",))
 
     simplices = []
     labels = {}
@@ -698,8 +699,7 @@ def triangulate(X: Formula, subsets=(), env=None, ceiling=DEFAULT_CEILING):
     K = SimplicialComplex(coords, simplices, labels)
     description = {
         "cells": {str(p): [list(s) for s in ss] for p, ss in cell_map.items()},
-        "vertices_exact": {
-            str(i): "sample of cell" for i in range(len(coords))},
+        "vertices": {str(i): kind for i, kind in enumerate(kinds)},
     }
     return K, description
 

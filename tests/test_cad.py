@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sharpcells.cad import (
     CADError,
@@ -19,8 +20,10 @@ from sharpcells.cad import (
     poly_sign_at,
     sample_in_cell,
 )
-from sharpcells.formula import eval_qf, to_text
+from sharpcells.formula import And, Atom, Or, eval_qf, to_text
 from sharpcells.parser import parse_formula, parse_poly
+from sharpcells.poly import Polynomial
+from sharpcells.topology import connected_components
 
 
 def test_circle_has_thirteen_cells():
@@ -158,12 +161,66 @@ def test_ceiling_enforced():
         decide(parse_formula("x > 0"), {}, ceiling=3)
 
 
-def test_degenerate_projection_falls_back():
-    # a polynomial whose leading coefficient in y vanishes on a line
-    X = parse_formula("x*y^2 - 1 = 0")
+def test_shifted_hyperbola_needs_no_extra_section():
+    # the coefficients x - 3/4 and 3/4*x - 17/16 of y never vanish together;
+    # only x = 3/4, where the leading coefficient vanishes, splits the line
+    X = parse_formula("(x - 3/4)*(y + 3/4) - 1/2 = 0")
     decomp = compatible_decomposition([X])
-    rng = random.Random(3)
+    assert len(decomp.cells) == 7
+    assert len(connected_components(X, decomp=decomp)) == 2
+
+
+def assert_sign_invariant(X, variables, seed, count=2):
+    """Every input polynomial keeps the sign of the cell sample at random
+    points of the cell, and the membership agrees with eval_qf there."""
+    decomp = compatible_decomposition([X], variables)
+    polys = [a.poly.extend(decomp.variables) for a in X.atoms()]
+    rng = random.Random(seed)
     for cell in decomp.cells:
-        (pt,) = sample_in_cell(decomp, cell, rng, count=1)
-        point = dict(zip(decomp.variables, pt))
-        assert eval_qf(X, point) == cell.memberships[0]
+        signs = [poly_sign_at(p, cell.coords) for p in polys]
+        for pt in [cell.coords] + sample_in_cell(decomp, cell, rng, count):
+            assert [poly_sign_at(p, pt) for p in polys] == signs
+            point = dict(zip(decomp.variables, pt))
+            assert cell.memberships[0] == eval_qf(X, point)
+
+
+@st.composite
+def sign_conditions(draw, variables, top):
+    """One to two sign conditions on sparse polynomials with small integer
+    coefficients, each of degree at most top in every variable, joined by
+    'and' or 'or'."""
+    term = st.tuples(*[st.integers(0, top)] * len(variables))
+    coeff = st.integers(-3, 3).filter(bool)
+    poly = st.dictionaries(term, coeff, min_size=2, max_size=4).map(
+        lambda terms: Polynomial(variables, terms)).filter(
+        lambda p: not p.is_constant())
+    atoms = draw(st.lists(st.builds(Atom, poly, st.sampled_from("=<>")),
+                          min_size=1, max_size=2))
+    if len(atoms) == 1:
+        return atoms[0]
+    return draw(st.sampled_from([And, Or]))(atoms)
+
+
+@settings(max_examples=25, deadline=None)
+@given(sign_conditions(("x", "y"), 2), st.integers(0, 2**16))
+def test_plane_cells_are_sign_invariant(X, seed):
+    assert_sign_invariant(X, ("x", "y"), seed)
+
+
+@settings(max_examples=6, deadline=None)
+@given(sign_conditions(("x", "y", "z"), 1), st.integers(0, 2**16))
+def test_space_cells_are_sign_invariant(X, seed):
+    assert_sign_invariant(X, ("x", "y", "z"), seed)
+
+
+@pytest.mark.parametrize("text", [
+    "x*y^2 - 1 = 0",
+    "x*z + y = 0",
+    "(x*z - y)*(y*z - x) = 0",
+    "x*z^2 + (y - 1)*z + x*y < 0",
+])
+def test_nullified_chains_stay_sign_invariant(text):
+    # each but the first vanishes identically over a point of the plane
+    X = parse_formula(text)
+    variables = ("x", "y", "z")[:len(X.free_vars())]
+    assert_sign_invariant(X, variables, seed=3, count=3)

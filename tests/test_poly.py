@@ -11,7 +11,7 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
-from sharpcells.cad import ProjectionDegeneracy, project_polys
+from sharpcells.cad import project_polys
 from sharpcells.poly import (
     Polynomial,
     discriminant,
@@ -165,8 +165,10 @@ def same_up_to_scalar(p, q):
     return p.primitive() == q.primitive()
 
 
-def reference_projection(polys, variables, method):
-    """The projection set built from sympy expression calls."""
+def reference_projection(polys, variables):
+    """The projection set built from sympy expression calls: each chain runs
+    down to the first nonzero constant coefficient, and onto one variable
+    stops after the leading coefficient."""
     syms = sp.symbols(variables)
     last, rest = syms[-1], variables[:-1]
     basis = []
@@ -184,19 +186,13 @@ def reference_projection(polys, variables, method):
             if c.is_constant() and not c.is_zero():
                 break
             out.add(c)
-        e = to_expr(q)
+            if len(variables) == 2 and not c.is_zero():
+                break
         if q.degree_in(variables[-1]) >= 2:
-            exprs.append(sp.discriminant(e, last))
-        if method == "collins":
-            subs = sp.subresultants(e, sp.diff(e, last), last)
-            exprs += [c for s in subs for c in sp.Poly(s, last).all_coeffs()]
+            exprs.append(sp.discriminant(to_expr(q), last))
     for i, q in enumerate(active):
         for r in active[i + 1:]:
             exprs.append(sp.resultant(to_expr(q), to_expr(r), last))
-            if method == "collins":
-                subs = sp.subresultants(to_expr(q), to_expr(r), last)
-                exprs += [c for s in subs
-                          for c in sp.Poly(s, last).all_coeffs()]
     out |= {from_expr(e, rest) for e in exprs}
     return {q.primitive() for q in out if not q.is_constant()}
 
@@ -251,11 +247,6 @@ def test_discriminant_and_resultant_match_sympy(case):
     lambda n: st.lists(rational_polys(VARS[:n]), min_size=1, max_size=2)))
 def test_projection_matches_expression_reference(polys):
     variables = polys[0].variables
-    for method in ("mccallum", "collins"):
-        try:
-            ours = project_polys(polys, variables, method=method)
-        except ProjectionDegeneracy:
-            assert method == "mccallum"
-            continue
-        assert len(set(ours)) == len(ours)
-        assert set(ours) == reference_projection(polys, variables, method)
+    ours = project_polys(polys, variables)
+    assert len(set(ours)) == len(ours)
+    assert set(ours) == reference_projection(polys, variables)

@@ -333,13 +333,16 @@ def _zero_test_cases(over_sqrt3):
         return realalg.ptrim(F, [const(c) if isinstance(c, int) else c
                                  for c in cs])
 
-    # (y^2 - 2)(y^2 - 3)(y - 1/2) and y^4 - 4 = (y^2 - 2)(y^2 + 2)
+    # (y^2 - 2)(y^2 - 3)(y - 1/2), y^4 - 4 = (y^2 - 2)(y^2 + 2), and
+    # (y^2 - 2)(3y - 1), whose root 1/3 bisection never meets exactly
     half = F.from_fraction(Fraction(-1, 2))
     base = realalg.pmul(F, poly(6, 0, -5, 0, 1), [half, F.one])
-    handles = isolate_roots(F, base) + isolate_roots(F, poly(-4, 0, 0, 0, 1))
+    handles = (isolate_roots(F, base) + isolate_roots(F, poly(-4, 0, 0, 0, 1))
+               + isolate_roots(F, realalg.pmul(F, poly(-2, 0, 1),
+                                                poly(-1, 3))))
     qs = [poly(-2, 0, 1), poly(-3, 0, 1), poly(-1, 1), poly(5),
           realalg.pmul(F, poly(-2, 0, 1), poly(5, 1)), poly(-1, 2),
-          poly(-4, 0, 0, 0, 1), y]
+          poly(-4, 0, 0, 0, 1), y, poly(-1, 3), poly(-7, 5)]
     if gen is not None:
         qs += [[F.neg(gen), F.one], [gen, F.one],
                realalg.pmul(F, [F.neg(gen), F.one], poly(-1, 1))]

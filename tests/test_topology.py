@@ -1,11 +1,14 @@
 """Adjacency, components, the growth check, stratification, triangulation,
 Betti numbers."""
 
+import json
 import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
+import jsonschema
 import pytest
 
 import sharpcells
@@ -18,6 +21,7 @@ from sharpcells.topology import (
     adjacency,
     betti,
     check_component_bound,
+    complex_to_json,
     connected_components,
     grid_components,
     stratify,
@@ -65,7 +69,7 @@ def test_connected_components_counts():
         ("x^2 + y^2 - 1 = 0", 1),
         ("(x^2 + y^2 - 1)*((x - 4)^2 + y^2 - 1) = 0", 2),
         ("x*y - 1 = 0", 2),
-        # shifted along y: the McCallum set degenerates, Collins takes over
+        # shifted along y: no coefficient of y is a nonzero constant
         ("(x - 3/4)*(y + 3/4) - 1/2 = 0", 2),
         ("x^2 + y^2 + 1 = 0", 0),
         ("(x^2 - 1 = 0) and (y = 0)", 2),
@@ -154,6 +158,27 @@ def test_triangulate_labels_subsets():
             (v,) = simplex
             x, y = K.vertices[v]
             assert abs(x * x + y * y - 1) < Fraction(1, 4)
+
+
+@pytest.mark.parametrize("text, approximate", [
+    # the annulus 1 <= x^2 + y^2 <= 4 has algebraic samples, the unit
+    # square only rational ones
+    ("(not (x^2 + y^2 - 1 < 0)) and (not (x^2 + y^2 - 4 > 0))", True),
+    ("(not (x*(x - 1) > 0)) and (not (y*(y - 1) > 0))", False),
+])
+def test_triangulation_labels_approximate_vertices(text, approximate):
+    X = parse_formula(text)
+    K, description = triangulate(X)
+    schema = json.loads((Path(__file__).parents[1] / "schemas"
+                         / "complex.v1.schema.json").read_text())
+    jsonschema.validate(complex_to_json(K), schema)
+    kinds = description["vertices"]
+    assert sorted(kinds, key=int) == [str(i) for i in range(len(K.vertices))]
+    assert set(kinds.values()) <= {"exact", "approximate"}
+    assert ("approximate" in kinds.values()) == approximate
+    for i, v in enumerate(K.vertices):
+        if kinds[str(i)] == "exact":  # an exact sample lies in the set
+            assert eval_qf(X, dict(zip(("x", "y"), v)))
 
 
 def test_boundary_rank_on_handmade_complex():
