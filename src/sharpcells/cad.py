@@ -2,9 +2,10 @@
 
 Projection is McCallum's reduced set (coefficient chain, discriminants,
 pairwise resultants) over an irreducible factor basis; in at most three
-variables it needs no Collins fallback.  Lifting is exact: sector samples
-are rational, section samples are real algebraic numbers in field towers
-from realalg.  Every sign decision goes through exact arithmetic.
+variables it needs no Collins fallback, and beyond three it rejects a
+factor it is not known to be complete for.  Lifting is exact: sector
+samples are rational, section samples are real algebraic numbers in field
+towers from realalg.  Every sign decision goes through exact arithmetic.
 """
 
 from __future__ import annotations
@@ -163,6 +164,9 @@ def project_polys(polys, variables=None):
     Onto the plane an irreducible q vanishes identically over at most
     finitely many points, the common zeros of its kept coefficients, and
     these become 0-cells, so no Collins fallback is needed (McCallum 1988).
+    In more variables such a factor may vanish identically over a curve,
+    where the set is not known to be complete, so a chain with no nonzero
+    constant raises CADError there.
     """
     polys = list(polys)
     if not polys:
@@ -198,6 +202,12 @@ def project_polys(polys, variables=None):
             add(c)
             if len(variables) == 2:
                 break
+        else:
+            if len(variables) > 3:
+                raise CADError(
+                    f"the coefficients of {q} in {last} have no nonzero "
+                    f"constant; the projection is only complete for such "
+                    f"a factor in at most three variables")
         if q.degree_in(last) >= 2:
             add(discriminant(q, last))
 

@@ -798,10 +798,8 @@ class RootHandle:
         """Does the UPoly q (over the same field) vanish at this root?
 
         The root is a root of q exactly when g = gcd(sqf, q) changes sign
-        across the isolating interval; a linear q over QQ needs no gcd, its
-        root must lie inside the interval and be a root of sqf.  With
-        shrink=True a vanishing q also cuts sqf down to g, which still
-        carries the root.
+        across the isolating interval.  With shrink=True a vanishing q also
+        cuts sqf down to g, which still carries the root.
         """
         f = self.field
         q = ptrim(f, list(q))
@@ -811,15 +809,12 @@ class RootHandle:
             return _sign_at(f, q, self.exact) == 0
         if pdeg(q) == 0:
             return False
-        if f is QQ and pdeg(q) == 1:
-            g, r = q, -Fraction(q[0]) / q[1]
-            found = self.lo < r < self.hi and self.sign_at(r) == 0
-        else:
-            g = _gcd(f, self.sqf, q)
-            found = pdeg(g) >= 1 and _changes_sign(f, g, self.lo, self.hi)
-        if found and shrink:
+        g = _gcd(f, self.sqf, q)
+        if pdeg(g) < 1 or not _changes_sign(f, g, self.lo, self.hi):
+            return False
+        if shrink:
             self.sqf = g
-        return found
+        return True
 
     def enclose(self, q, prec):
         """Rational interval containing q at this root, evaluated on the

@@ -161,6 +161,20 @@ def test_ceiling_enforced():
         decide(parse_formula("x > 0"), {}, ceiling=3)
 
 
+def test_projection_rejects_unproven_chain_in_four_variables():
+    # over (x, y, z) the coefficients x and y of x*w + y vanish together on
+    # the whole z-axis, where the projection is not known to be complete
+    psi = parse_formula(
+        "exists z. exists w. (x*w + y = 0 and z^2 - 1 < 0)")
+    with pytest.raises(CADError, match="at most three variables"):
+        decide(psi, {"x": Fraction(0), "y": Fraction(0)}, ceiling=4)
+    # a chain ending at a constant is fine in any dimension
+    psi = parse_formula(
+        "exists z. exists w. (w^2 + x*w + y = 0 and z^2 - 1 < 0)")
+    assert decide(psi, {"x": Fraction(0), "y": Fraction(-1)}, ceiling=4)
+    assert not decide(psi, {"x": Fraction(0), "y": Fraction(1)}, ceiling=4)
+
+
 def test_shifted_hyperbola_needs_no_extra_section():
     # the coefficients x - 3/4 and 3/4*x - 17/16 of y never vanish together;
     # only x = 3/4, where the leading coefficient vanishes, splits the line
