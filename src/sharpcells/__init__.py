@@ -76,6 +76,7 @@ from .star import (
 from .topology import (
     AdjacencyGraph,
     Component,
+    NullifiedFibreError,
     SimplicialComplex,
     Stratum,
     TopologyError,

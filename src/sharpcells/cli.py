@@ -28,6 +28,7 @@ from .formula import to_text
 from .parser import ParseError, parse_formula
 from .star import star_ccd, star_fd, star_report, star_to_json, to_star
 from .topology import (
+    NullifiedFibreError,
     betti,
     check_component_bound,
     complex_to_json,
@@ -430,6 +431,9 @@ def main(argv=None) -> int:
         return 2
     except (RecursionError, MemoryError) as exc:
         print(f"resource limit: {exc!r}", file=sys.stderr)
+        return 2
+    except NullifiedFibreError as exc:
+        print(f"undecided: {exc}", file=sys.stderr)
         return 2
     except (ParseError, CADError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

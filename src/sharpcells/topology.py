@@ -1,26 +1,28 @@
 """Cell adjacency, connected components, the component-count bound checker,
 stratification, triangulation in one and two variables, and Betti numbers.
 
-Adjacency in the plane is decided exactly: over each base interval the
-section curves are root functions of the stack polynomials, and their
-one-sided limits at the interval endpoints are found by exactly comparing
-isolated roots with rational separators.  Three-dimensional adjacency is
-sampling-based and flagged as heuristic.
+Adjacency is decided exactly in up to three variables.  When a base cell B
+lies in the closure of a base cell B', each section over B' converges at
+B to one section over B or to infinity, the same one at every point of B.
+One path inside B' toward B's sample point therefore decides the limits,
+and along it they are a plane limit problem, solved by exactly comparing
+isolated roots with rational separators.  The rule needs every polynomial
+to keep a nonzero restriction to the fibre over B; where one vanishes
+identically, adjacency raises NullifiedFibreError.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import random
 from fractions import Fraction
 
 from .cad import (
     CADError,
     DEFAULT_CEILING,
+    _build_stack,
     cell_formula,
     compatible_decomposition,
-    locate,
 )
 from .constructors import local_maxima_formula
 from .fd import fd_of_formula
@@ -33,18 +35,26 @@ from .formula import (
     is_quantifier_free,
     resolve_named,
 )
+from .poly import resultant
 from .realalg import (
     QQ,
-    RootHandle,
-    compare_roots,
-    isolate_roots,
+    Num,
+    _sign_at,
+    _variations,
+    pdeg,
+    pdivmod,
     ptrim,
-    rational_between,
+    sturm_chain,
 )
 
 
 class TopologyError(CADError):
     pass
+
+
+class NullifiedFibreError(TopologyError):
+    """A polynomial vanishes identically on the fibre over a base cell, so
+    the sections near that fibre need not converge to single points."""
 
 
 # ---------------------------------------------------------------------------
@@ -55,10 +65,11 @@ class TopologyError(CADError):
 class AdjacencyGraph:
     """Cells as vertices, an edge when one cell's closure meets the other."""
 
-    def __init__(self, vertices, edges, heuristic=False):
+    heuristic = False  # adjacency is always exact
+
+    def __init__(self, vertices, edges):
         self.vertices = list(vertices)
         self.edges = {frozenset(e) for e in edges}
-        self.heuristic = heuristic
 
     def neighbors(self, v):
         out = []
@@ -91,51 +102,89 @@ class AdjacencyGraph:
                 sorted(groups.values(), key=lambda g: min(g))]
 
 
-def _near_endpoint(P, seps, r_handle, far_handle, side):
-    """A rational abscissa inside the interval, past every x where a root
-    curve of P crosses one of the separator lines.
+def _restrict(field, poly, values, free):
+    """poly as a coefficient list over field in its variable number free,
+    the other variables set, in order, to values (field elements)."""
+    out = [field.zero] * (poly.degree_in(poly.variables[free]) + 1)
+    for expo, c in poly.terms.items():
+        term = field.from_fraction(c)
+        for e, v in zip(expo[:free] + expo[free + 1:], values):
+            for _ in range(e):
+                term = field.mul(term, v)
+        out[expo[free]] = field.add(out[expo[free]], term)
+    return ptrim(field, out)
+
+
+def _variations_at(field, chain, t):
+    """Sign variations of a Sturm chain at the rational t, and whether t is
+    a root of the chain's polynomial."""
+    signs = [_sign_at(field, q, t) for q in chain]
+    return _variations(signs), signs[0] == 0
+
+
+def _near_endpoint(field, upolys, r_handle, far_handle, side):
+    """A rational u between r and far, with no real root of the upolys
+    (coefficient lists over field) from r to u.
 
     side +1 looks at the interval to the right of r, side -1 to the left.
+    No upoly may vanish at r.  Then refining r's isolating interval until
+    Sturm counts find no root in it, and it lies clear of far, makes its
+    end on that side such a u; a rational r steps out by halving distances.
     """
-    closest = far_handle
+    chains = []
+    for up in upolys:
+        if not up:
+            raise TopologyError("a separator line lies on a root curve")
+        chains.append(sturm_chain(field, up))
+
+    def usable(u):
+        """u lies before far, and no upoly has a root between r and u."""
+        if far_handle is not None and (
+                far_handle.lo <= u if side > 0 else far_handle.hi >= u):
+            return False
+        a, b = sorted((r_handle.lo if side > 0 else r_handle.hi, u))
+        for chain in chains:
+            va, root_a = _variations_at(field, chain, a)
+            vb, root_b = _variations_at(field, chain, b)
+            if root_a or root_b or va != vb:
+                return False
+        return True
+
+    step = Fraction(1)
+    for _ in range(10_000):
+        if r_handle.is_rational():
+            u = r_handle.exact + side * step
+            step /= 2
+        else:
+            u = r_handle.hi if side > 0 else r_handle.lo
+        if usable(u):
+            return u
+        r_handle.refine()
+        if far_handle is not None:
+            far_handle.refine()
+    raise TopologyError("no approach to a section clear of the separators")
+
+
+def _limit_codes(field, fibre, seps, count):
+    """Where each root of the fibre polynomial lies among the separators.
+
+    Returns a list of length count: 0 below the first separator, i between
+    the i-th and the next, len(seps) above the last, counted with a Sturm
+    chain.  Near the base cell whose sector samples the separators are,
+    each code is the limit of one section: 0 is minus infinity, i the i-th
+    section over that cell, and len(seps) plus infinity.
+    """
+    chain = sturm_chain(field, fibre)
+    leads = [field.sign(q[-1]) for q in chain]
+    below = [_variations([s * (-1) ** pdeg(q) for s, q in zip(leads, chain)])]
     for t in seps:
-        # P(x, t) as a coefficient list in x
-        up = [Fraction(0)] * (P.degree_in(P.variables[0]) + 1)
-        for (i, j), c in P.terms.items():
-            up[i] += c * t**j
-        up = ptrim(QQ, up)
-        if len(up) <= 1:
-            continue
-        for h in isolate_roots(QQ, up):
-            if compare_roots(h, r_handle) == side and (
-                    closest is None or compare_roots(h, closest) == -side):
-                closest = h
-    if closest is None:
-        return r_handle.hi + 1 if side > 0 else r_handle.lo - 1
-    if side > 0:
-        return rational_between(r_handle, closest)
-    return rational_between(closest, r_handle)
-
-
-def _limit_codes(decomp, P, x0, seps, count):
-    """Which candidate each root curve converges to, as ordered codes.
-
-    Returns a list of length count: 0 for minus infinity, i for the i-th
-    candidate (1-based), len(seps) for plus infinity.
-    """
-    up = ptrim(QQ, [Fraction(c.eval([x0])) for c in P.coeffs_in_last()])
-    separators = [RootHandle.rational(QQ, t) for t in seps]
-    codes = []
-    for h in isolate_roots(QQ, up):
-        code = 0
-        for sep in separators:
-            c = compare_roots(h, sep)
-            if c == 0:
-                raise TopologyError("a root curve meets a separator")
-            if c < 0:
-                break
-            code += 1
-        codes.append(code)
+        v, root = _variations_at(field, chain, t)
+        if root:
+            raise TopologyError("a root curve meets a separator")
+        below.append(v)
+    below.append(_variations(leads))
+    codes = [i for i, (a, b) in enumerate(zip(below, below[1:]))
+             for _ in range(a - b)]
     if len(codes) != count:
         raise TopologyError("root accounting mismatch near a section")
     return codes
@@ -150,98 +199,168 @@ def _column_edges(path_prefix, n_sections):
     return edges
 
 
-def _cross_edges(decomp, section_idx, sector_idx, side):
-    """Edges between a section column and a flanking sector column."""
-    base = decomp.base
-    base_sections = base.stacks[()].sections
-    t = section_idx // 2
-    r_handle = base_sections[t].handle
-    col = decomp.stacks[(section_idx,)]
-    s = len(col.sections)
-    sector = decomp.stacks[(sector_idx,)]
-    m = len(sector.sections)
+def _limit_edges(upper, lower, codes, s):
+    """Edges between the stack over base cell upper and the stack, with s
+    sections, over a base cell lower in its closure, given the limit codes
+    of upper's sections.  A section meets the section it converges to; a
+    sector meets every cell over lower between the limits of its two
+    bounding sections."""
     edges = []
-    if m == 0:
-        # one full-plane band over the sector; its closure covers the line
-        for j in range(2 * s + 1):
-            edges.append(((sector_idx, 0), (section_idx, j)))
-        return edges
-    P = sector.product(decomp.basis)
-    seps = col.sector_samples()
-    if side > 0:
-        far = base_sections[t + 1].handle if t + 1 < len(base_sections) \
-            else None
-    else:
-        far = base_sections[t - 1].handle if t >= 1 else None
-    x0 = _near_endpoint(P, seps, r_handle, far, side)
-    codes = _limit_codes(decomp, P, x0, seps, m)
-    # codes[q-1] is the limit of the q-th root curve: 0 = -inf, i = i-th
-    # section of the column, s+1 = +inf
-    for q in range(1, m + 1):
-        c = codes[q - 1]
+    for q, c in enumerate(codes, 1):
         if 1 <= c <= s:
-            edges.append(((sector_idx, 2 * q - 1), (section_idx, 2 * c - 1)))
-    for q in range(m + 1):  # bands between curves q and q+1
-        lo = 0 if q == 0 else codes[q - 1]
-        hi = s + 1 if q == m else codes[q]
-        for i in range(1, s + 1):
-            if lo <= i <= hi:
-                edges.append(((sector_idx, 2 * q), (section_idx, 2 * i - 1)))
-        for i in range(s + 1):  # vertical sector (y_i, y_{i+1}), codes i, i+1
-            if lo <= i and i + 1 <= hi:
-                edges.append(((sector_idx, 2 * q), (section_idx, 2 * i)))
+            edges.append((upper + (2 * q - 1,), lower + (2 * c - 1,)))
+    bounds = [0] + codes + [s + 1]
+    for q in range(len(codes) + 1):
+        lo, hi = bounds[q], bounds[q + 1]
+        for j in range(max(2 * lo - 1, 0), min(2 * hi - 1, 2 * s) + 1):
+            edges.append((upper + (2 * q,), lower + (j,)))
     return edges
 
 
-def _adjacency_exact(decomp):
-    edges = []
+def _dim(path):
+    return sum(1 - i % 2 for i in path)
+
+
+def _axis_codes(decomp, upper, lower, P, seps, count):
+    """Limit codes along a line parallel to axis k, the first index where
+    the two base paths differ: lower is a section there, upper the sector
+    beside it, and lower's later coordinates are rational sector samples,
+    held fixed.  The line stops before any root, on that side, of P on a
+    separator plane or of a base stack crossing a fixed coordinate, so no
+    section crosses a separator and the line stays inside upper."""
+    layers = decomp.layers()
+    k = next(j for j, (a, b) in enumerate(zip(upper, lower)) if a != b)
+    side = upper[k] - lower[k]
+    stack = layers[k].stacks[lower[:k]]
+    field, sections = stack.field, stack.sections
+    t = lower[k] // 2
+    far = sections[t + side].handle if 0 <= t + side < len(sections) \
+        else None
+    fixed = [c.data for c in stack.coords] + [
+        field.from_fraction(c.as_fraction())
+        for c in decomp.stacks[lower].coords[k + 1:]]
+    avoid = [_restrict(field, P, fixed + [field.from_fraction(s)], k)
+             for s in seps]
+    for j in range(k + 1, decomp.level - 1):
+        crossing = layers[j].stacks[upper[:j]].product(layers[j].basis)
+        if crossing is not None:
+            avoid.append(_restrict(field, crossing, fixed[:j], k))
+    u = _near_endpoint(field, avoid, sections[t].handle, far, side)
+    point = fixed[:k] + [field.from_fraction(u)] + fixed[k:]
+    fibre = _restrict(field, P, point, decomp.level - 1)
+    return _limit_codes(field, fibre, seps, count)
+
+
+def _curve_end_codes(decomp, upper, lower, P, seps, count):
+    """Limit codes where a curve y = f(x) over an x-interval ends at a
+    point (alpha, beta).  Walk along the curve to a rational x1 past every
+    real root of Res_y(P(x, y, s), g) for the curve's polynomial g and each
+    separator s: on the way P(x, f(x), s) never vanishes, so no section
+    crosses a separator.  A resultant may also vanish at alpha, through
+    another root of g(alpha, y); such factors are divided out."""
+    base = decomp.base
+    x_sections = base.base.stacks[()].sections
+    side = upper[0] - lower[0]
+    t = lower[0] // 2
+    far = x_sections[t + side].handle if 0 <= t + side < len(x_sections) \
+        else None
+    column = base.stacks[upper[:1]]
+    q = upper[1] // 2
+    curve = column.sections[q].handle
+    g = next(p for p, up in zip(base.basis, column.upolys)
+             if up is not None and len(up) >= 2 and curve.vanishes(up))
+    x, y, z = decomp.variables
+    r = x_sections[t].handle
+    avoid = []
+    for s in seps:
+        res = _restrict(QQ, resultant(P.subs_var(z, s), g, y), [], 0)
+        while res and r.vanishes(res):
+            factor = [-r.exact, Fraction(1)] if r.is_rational() else r.sqf
+            res, _ = pdivmod(QQ, res, factor)
+        avoid.append(res)
+    x1 = _near_endpoint(QQ, avoid, r, far, side)
+    value = _build_stack(QQ, [Num.rational(x1)], base.basis).sections[q].value
+    field = value.field
+    fibre = _restrict(field, P, [field.from_fraction(x1), value.data], 2)
+    return _limit_codes(field, fibre, seps, count)
+
+
+def _pair_codes(decomp, upper, lower, known):
+    """Limit codes of the sections over base cell upper at base cell lower
+    in its closure.  known holds the codes of the pairs whose dimensions
+    differ by one."""
+    top = decomp.stacks[upper]
+    if not top.sections:
+        return []
+    k = next(j for j, (a, b) in enumerate(zip(upper, lower)) if a != b)
+    if all(i % 2 == 0 for i in lower[k + 1:]):
+        walk = _axis_codes
+    elif _dim(upper) == 1:
+        walk = _curve_end_codes
+    else:
+        # a 2-cell over a point: the sections extend continuously to the
+        # closure of the 2-cell, so their limits at the point are the
+        # limits, along a 1-cell between the two, of the sections they
+        # converge to on that 1-cell
+        mid = next((m for (u, m) in known
+                    if u == upper and (m, lower) in known), None)
+        if mid is None:
+            raise TopologyError(f"no 1-cell between base cells {upper} "
+                                f"and {lower}")
+        s_mid = len(decomp.stacks[mid].sections)
+        s = len(decomp.stacks[lower].sections)
+        inner = known[mid, lower]
+        return [0 if c == 0 else s + 1 if c > s_mid else inner[c - 1]
+                for c in known[upper, mid]]
+    return walk(decomp, upper, lower, top.product(decomp.basis),
+                decomp.stacks[lower].sector_samples(), len(top.sections))
+
+
+def _check_fibres(decomp):
+    last = decomp.variables[-1]
+    for path, stack in decomp.stacks.items():
+        for q, up in zip(decomp.basis, stack.upolys):
+            if up is None and q.degree_in(last) >= 1:
+                raise NullifiedFibreError(
+                    f"{q} vanishes identically on the fibre over base cell "
+                    f"{path}; the limits of the sections near it are not "
+                    f"decided")
+
+
+def _edges(decomp):
+    """Adjacency edges of a decomposition of dimension one to three.
+
+    The base edges give the pairs of base cells B in the closure of B';
+    the limit codes of the sections over B' at B give the edges between
+    their stacks, and consecutive cells of each stack are adjacent.
+    """
     if decomp.level == 1:
         paths = [c.index_path for c in decomp.cells]
-        for a, b in zip(paths, paths[1:]):
-            edges.append((a, b))
-        return AdjacencyGraph(paths, edges)
-    base_sections = decomp.base.stacks[()].sections
-    for base_cell in decomp.base.cells:
-        i = base_cell.index_path[0]
-        edges.extend(_column_edges((i,), len(decomp.stacks[(i,)].sections)))
-    for t in range(len(base_sections)):
-        si = 2 * t + 1
-        edges.extend(_cross_edges(decomp, si, si - 1, side=-1))
-        edges.extend(_cross_edges(decomp, si, si + 1, side=+1))
-    return AdjacencyGraph([c.index_path for c in decomp.cells], edges)
-
-
-def _adjacency_sampled(decomp, rng=None, probes=40):
-    """Heuristic adjacency for three variables: probe small neighborhoods
-    of each lower-dimensional cell and record which cells they land in."""
-    rng = rng or random.Random(7)
-    paths = [c.index_path for c in decomp.cells]
+        return set(map(frozenset, zip(paths, paths[1:])))
+    _check_fibres(decomp)
     edges = set()
-    for cell in decomp.cells:
-        if cell.dim == decomp.level:
-            continue
-        approx = [sum(c.approx(24), Fraction(0)) / 2 for c in cell.coords]
-        for _ in range(probes):
-            k = rng.randrange(8, 24)
-            delta = Fraction(1, 2 ** k)
-            point = [a + Fraction(rng.randrange(-3, 4)) * delta
-                     for a in approx]
-            try:
-                other = locate(decomp, point)
-            except CADError:
-                continue
-            if other != cell.index_path:
-                edges.add(frozenset((cell.index_path, other)))
-    return AdjacencyGraph(paths, edges, heuristic=True)
+    for path, stack in decomp.stacks.items():
+        edges.update(map(frozenset, _column_edges(path,
+                                                  len(stack.sections))))
+    pairs = sorted((sorted(e, key=_dim) for e in _edges(decomp.base)),
+                   key=lambda pair: _dim(pair[1]) - _dim(pair[0]))
+    known = {}
+    for lower, upper in pairs:
+        codes = _pair_codes(decomp, upper, lower, known)
+        known[upper, lower] = codes
+        edges.update(map(frozenset, _limit_edges(
+            upper, lower, codes, len(decomp.stacks[lower].sections))))
+    return edges
 
 
-def adjacency(decomp, rng=None) -> AdjacencyGraph:
-    """Cell adjacency graph; exact up to two variables, heuristic in three."""
-    if decomp.level <= 2:
-        return _adjacency_exact(decomp)
-    if decomp.level == 3:
-        return _adjacency_sampled(decomp, rng=rng)
-    raise TopologyError(f"adjacency not supported in dimension {decomp.level}")
+def adjacency(decomp) -> AdjacencyGraph:
+    """Exact cell adjacency graph of a decomposition in one to three
+    variables."""
+    if decomp.level > 3:
+        raise TopologyError(
+            f"adjacency not supported in dimension {decomp.level}")
+    return AdjacencyGraph([c.index_path for c in decomp.cells],
+                          _edges(decomp))
 
 
 # ---------------------------------------------------------------------------
@@ -431,13 +550,13 @@ def _maxima_witness(X, components, env, ceiling, functionals):
         maxima = local_maxima_formula(closed, f)
         try:
             d = compatible_decomposition([closed, maxima], ceiling=ceiling)
+            graph = adjacency(d)
         except CADError as exc:
             best = best or {"functional": f, "error": str(exc)}
             continue
         dim_x = max((c.dim for c in d.cells if c.memberships[0]), default=-1)
         max_cells = [c for c in d.cells if c.memberships[1]]
         dim_m = max((c.dim for c in max_cells), default=-1)
-        graph = adjacency(d)
         inside = [c.index_path for c in d.cells if c.memberships[0]]
         met = 0
         for group in graph.components(restrict=inside):

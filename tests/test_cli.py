@@ -1,7 +1,9 @@
 """Command line front end: subcommands, exit codes, determinism."""
 
 import json
+from pathlib import Path
 
+import jsonschema
 import pytest
 
 from sharpcells.cli import main
@@ -67,6 +69,27 @@ def test_components_and_betti(circle, capsys):
     assert code == 0 and "1 connected component" in out
     code, out, _ = run(["betti", circle], capsys)
     assert code == 0 and "b0 1  b1 1  b2 0" in out
+
+
+def test_components_of_a_sphere(tmp_path, capsys):
+    f = tmp_path / "sphere.fml"
+    f.write_text("x^2 + y^2 + z^2 - 1 = 0")
+    code, out, _ = run(["components", str(f)], capsys)
+    assert code == 0 and "1 connected component(s)" in out
+    a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+    assert run(["components", str(f), "--json", a], capsys)[0] == 0
+    assert run(["components", str(f), "--json", b], capsys)[0] == 0
+    assert open(a, "rb").read() == open(b, "rb").read()
+    schema = json.loads((Path(__file__).parents[1] / "schemas"
+                         / "components.v1.schema.json").read_text())
+    jsonschema.validate(json.load(open(a)), schema)
+
+
+def test_nullified_fibre_is_exit_code_2(tmp_path, capsys):
+    f = tmp_path / "pair.fml"
+    f.write_text("(x*z - y)*(y*z - x) = 0")
+    code, _, err = run(["components", str(f)], capsys)
+    assert code == 2 and "vanishes identically" in err and "base cell" in err
 
 
 def test_missing_file_is_input_error(capsys):

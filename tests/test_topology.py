@@ -1,21 +1,26 @@
 """Adjacency, components, the growth check, stratification, triangulation,
 Betti numbers."""
 
+import itertools
 import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import assume, given, settings
 
 import sharpcells
 from sharpcells.cad import compatible_decomposition, decide
-from sharpcells.formula import eval_qf
+from sharpcells.formula import And, Atom, eval_qf
 from sharpcells.parser import parse_formula, parse_poly
+from sharpcells.poly import Polynomial
 from sharpcells.topology import (
+    NullifiedFibreError,
     SimplicialComplex,
     TopologyError,
     adjacency,
@@ -27,6 +32,9 @@ from sharpcells.topology import (
     stratify,
     triangulate,
 )
+from test_cad import sign_conditions
+
+XYZ = ("x", "y", "z")
 
 
 def decomp_of(text):
@@ -76,6 +84,74 @@ def test_connected_components_counts():
     ]:
         comps = connected_components(parse_formula(text))
         assert len(comps) == n, text
+
+
+def space_components(X, variables=XYZ):
+    decomp = compatible_decomposition([X], variables=variables)
+    return len(connected_components(X, decomp=decomp))
+
+
+# space sets with closed-form component counts
+SPACE_TRUTHS = [
+    ("x^2 + y^2 + z^2 - 1 = 0", 1),  # sphere
+    ("(x^2 + y^2 + z^2 - 1)*((x - 4)^2 + y^2 + z^2 - 1) = 0", 2),
+    ("(not (x^2 + y^2 + z^2 - 1 < 0)) and "
+     "(not (x^2 + y^2 + z^2 - 4 > 0))", 1),  # shell 1 <= r <= 2
+    ("(x^2 + y^2 + z^2 + 3)^2 - 16*(x^2 + y^2) = 0", 1),  # torus R=2, r=1
+    ("x^2 + y^2 - z^2 = 0", 1),  # cone
+    ("x^2 + y^2 - z^2 - 1 = 0", 1),  # hyperboloid of one sheet
+    ("z^2 - x^2 - y^2 - 1 = 0", 2),  # hyperboloid of two sheets
+    ("x^2 + y^2 + z^2 - 1 < 0", 1),  # open ball
+    ("not (x^2 + y^2 + z^2 - 1 > 0)", 1),  # closed ball
+    # an open ball and one point of its boundary meet only through a
+    # 3-cell over a 2-cell and a 0-cell over a 0-cell of the plane
+    ("(x^2 + y^2 + z^2 - 1 < 0) or ((x - 1)^2 + y^2 + z^2 = 0)", 1),
+]
+
+
+def test_space_components_match_closed_forms():
+    t0 = time.monotonic()
+    for text, n in SPACE_TRUTHS:
+        X = parse_formula(text)
+        decomp = compatible_decomposition([X], variables=XYZ)
+        assert not adjacency(decomp).heuristic
+        assert len(connected_components(X, decomp=decomp)) == n, text
+    assert time.monotonic() - t0 < 20.0
+
+
+def test_nullified_fibre_raises_instead_of_guessing():
+    # x*z + y vanishes on the whole z-line over (x, y) = (0, 0), and the
+    # sections near it converge to every point of that line
+    X = parse_formula("x*z + y = 0")
+    with pytest.raises(TopologyError, match=r"base cell \(1, 1\)"):
+        space_components(X)
+    # eliminating y first leaves no nullified fibre: the graph y = -x*z
+    assert space_components(X, ("x", "z", "y")) == 1
+
+
+@settings(max_examples=8, deadline=None)
+@given(sign_conditions(XYZ, 1))
+def test_space_components_agree_across_variable_orders(X):
+    # each order gives a different decomposition; orders with a nullified
+    # fibre raise and are left out of the comparison
+    counts = []
+    for order in itertools.permutations(XYZ):
+        try:
+            counts.append(space_components(X, order))
+        except NullifiedFibreError:
+            pass
+    assume(len(counts) >= 2)
+    assert len(set(counts)) == 1, counts
+
+
+@settings(max_examples=10, deadline=None)
+@given(sign_conditions(("x", "y"), 2))
+def test_lifted_plane_sets_keep_their_components(X):
+    plane = compatible_decomposition([X], variables=("x", "y"))
+    n = len(connected_components(X, decomp=plane))
+    assert space_components(X) == n  # X x R
+    flat = And([X, Atom(Polynomial.var("z", ("z",)), "=")])
+    assert space_components(flat) == n  # X and z = 0
 
 
 def test_component_formulas_define_the_pieces():
