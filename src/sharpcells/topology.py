@@ -5,10 +5,10 @@ Adjacency is decided exactly in up to three variables.  When a base cell B
 lies in the closure of a base cell B', each section over B' converges at
 B to one section over B or to infinity, the same one at every point of B.
 One path inside B' toward B's sample point therefore decides the limits,
-and along it they are a plane limit problem, solved by exactly comparing
-isolated roots with rational separators.  The rule needs every polynomial
-to keep a nonzero restriction to the fibre over B; where one vanishes
-identically, adjacency raises NullifiedFibreError.
+and along it they are a plane limit problem, solved exactly by counting
+roots between rational separators with Sturm chains.  The rule needs
+every polynomial to keep a nonzero restriction to the fibre over B; where
+one vanishes identically, adjacency raises NullifiedFibreError.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from .realalg import (
     _variations,
     pdeg,
     pdivmod,
+    pgcd,
     ptrim,
     sturm_chain,
 )
@@ -275,8 +276,8 @@ def _curve_end_codes(decomp, upper, lower, P, seps, count):
     for s in seps:
         res = _restrict(QQ, resultant(P.subs_var(z, s), g, y), [], 0)
         while res and r.vanishes(res):
-            factor = [-r.exact, Fraction(1)] if r.is_rational() else r.sqf
-            res, _ = pdivmod(QQ, res, factor)
+            root_poly = [-r.exact, Fraction(1)] if r.is_rational() else r.sqf
+            res, _ = pdivmod(QQ, res, pgcd(QQ, res, root_poly))
         avoid.append(res)
     x1 = _near_endpoint(QQ, avoid, r, far, side)
     value = _build_stack(QQ, [Num.rational(x1)], base.basis).sections[q].value

@@ -129,7 +129,17 @@ def test_nullified_fibre_raises_instead_of_guessing():
     assert space_components(X, ("x", "z", "y")) == 1
 
 
-@settings(max_examples=8, deadline=None)
+def test_curve_walk_skips_resultant_roots_at_the_curve_end():
+    # the surface is three graphs z = 3x / (3xy + 2x - 2), each reaching into
+    # the half-space.  Walking along a curve of the plane toward its end at
+    # x = alpha, some Res_y(P(x, y, s), g) vanish at alpha itself, through
+    # another root of g(alpha, y); the walk must not wait for those roots
+    X = parse_formula("(x - y + z < 0) or (3*x*y*z + 2*x*z - 3*x - 2*z = 0)")
+    assert space_components(X) == 1
+    assert space_components(X, ("z", "y", "x")) == 1
+
+
+@settings(max_examples=6, deadline=None)
 @given(sign_conditions(XYZ, 1))
 def test_space_components_agree_across_variable_orders(X):
     # each order gives a different decomposition; orders with a nullified
