@@ -359,23 +359,22 @@ class Stack:
         return reduce(operator.mul, active) if active else None
 
 
-def _substituted_upoly(field, poly, coords):
-    """poly (in the base variables plus one) as a coefficient list over the
-    base cell's field, evaluated at the base sample."""
-    out = []
-    for c_poly in poly.coeffs_in_last():
-        if c_poly.is_zero():
-            out.append(field.zero)
-            continue
-        val = c_poly.eval(coords)
-        if isinstance(val, (int, Fraction)):
-            out.append(field.from_fraction(Fraction(val)))
-        else:
-            out.append(num_in(field, val).data)
+def restrict(field, poly, values, free=-1):
+    """poly as a coefficient list over field in its variable number free
+    (the last by default), the other variables set, in order, to values
+    (elements of field)."""
+    free %= len(poly.variables)
+    out = [field.zero] * (poly.degree_in(poly.variables[free]) + 1)
+    for expo, c in poly.terms.items():
+        term = field.from_fraction(c)
+        for e, v in zip(expo[:free] + expo[free + 1:], values):
+            for _ in range(e):
+                term = field.mul(term, v)
+        out[expo[free]] = field.add(out[expo[free]], term)
     return ptrim(field, out)
 
 
-def _build_stack(field, coords, basis, factor=True):
+def build_stack(field, coords, basis, factor=True):
     """The stack of a basis over one base point of the given field.
 
     factor=True isolates roots through factoring (see _root_handles), as
@@ -384,10 +383,11 @@ def _build_stack(field, coords, basis, factor=True):
     over a random point; the section values are then re-examined for
     reducible polynomials when they are first read.
     """
+    values = [num_in(field, c).data for c in coords]
     upolys = []
     handles = []
     for poly in basis:
-        up = _substituted_upoly(field, poly, coords)
+        up = restrict(field, poly, values)
         upolys.append(up if up else None)  # None: vanishes on the fiber
         if len(up) >= 2:
             handles.extend(_root_handles(field, up, factor=factor))
@@ -450,7 +450,7 @@ def cad(polys, variables=None, ceiling=DEFAULT_CEILING):
 def _cad_levels(basis, variables, inputs):
     if len(variables) == 1:
         virtual_base = Cell((), QQ, [], 0)
-        stack = _build_stack(QQ, [], basis)
+        stack = build_stack(QQ, [], basis)
         cells = _lift_cells(virtual_base, stack)
         d = CellDecomposition(variables, basis, cells, None, inputs)
         d.stacks[()] = stack
@@ -462,7 +462,7 @@ def _cad_levels(basis, variables, inputs):
     d = CellDecomposition(variables, basis, [], base, inputs)
     cells = []
     for base_cell in base.cells:
-        stack = _build_stack(base_cell.field, base_cell.coords, basis)
+        stack = build_stack(base_cell.field, base_cell.coords, basis)
         d.stacks[base_cell.index_path] = stack
         cells.extend(_lift_cells(base_cell, stack))
     d.cells = cells
@@ -508,7 +508,7 @@ def sample_in_cell(decomp, cell, rng, count=1):
             if on_sample:
                 stack = layers[k].stacks[cell.index_path[:k]]
             else:
-                stack = _build_stack(field, coords, layers[k].basis,
+                stack = build_stack(field, coords, layers[k].basis,
                                      factor=False)
             sections = stack.sections
             if idx % 2 == 1:
@@ -543,7 +543,7 @@ def locate(decomp, point):
             field = v.field
             coords = [num_in(field, x) for x in coords]
         v = num_in(field, v)
-        stack = _build_stack(field, coords, layers[k].basis)
+        stack = build_stack(field, coords, layers[k].basis)
         idx = 0
         landed = None
         for j, sec in enumerate(stack.sections):
@@ -808,7 +808,7 @@ def _test_points(psi, point, ceiling):
     field = _deepest_field(_as_num(point[v]) for v in assigned)
     coords = [num_in(field, _as_num(point[v])) for v in assigned]
     basis = [p.extend(tuple(full)) for p in work if not p.is_constant()]
-    stack = _build_stack(field, coords, basis)
+    stack = build_stack(field, coords, basis)
     samples = stack.sector_samples()
     yield Num.rational(samples[0])
     for sec, sample in zip(stack.sections, samples[1:]):

@@ -18,6 +18,7 @@ decisions are exact; floating point is never consulted.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .poly import gcd_univariate, primitive_integers, squarefree_univariate
@@ -183,11 +184,22 @@ def _variations(values):
     return count
 
 
-def count_roots(field, chain, a: Fraction, b: Fraction):
+def sturm_variations(field, chain, t):
+    """Sign variations of a Sturm chain at t, and whether t is a root of
+    the chain's first polynomial.  t is a rational, or -math.inf or
+    math.inf, where the signs are those of the leading terms."""
+    if t in (-math.inf, math.inf):
+        signs = [field.sign(q[-1]) * (-1 if t < 0 and pdeg(q) % 2 else 1)
+                 for q in chain]
+    else:
+        signs = [_sign_at(field, q, t) for q in chain]
+    return _variations(signs), signs[0] == 0
+
+
+def count_roots(field, chain, a, b):
     """Number of distinct real roots in (a, b); endpoints must be non-roots."""
-    va = _variations([field.sign(peval_frac(field, q, a)) for q in chain])
-    vb = _variations([field.sign(peval_frac(field, q, b)) for q in chain])
-    return va - vb
+    return (sturm_variations(field, chain, a)[0]
+            - sturm_variations(field, chain, b)[0])
 
 
 def root_bound(field, p):

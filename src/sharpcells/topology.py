@@ -20,9 +20,10 @@ from fractions import Fraction
 from .cad import (
     CADError,
     DEFAULT_CEILING,
-    _build_stack,
+    build_stack,
     cell_formula,
     compatible_decomposition,
+    restrict,
 )
 from .constructors import local_maxima_formula
 from .fd import fd_of_formula
@@ -39,13 +40,10 @@ from .poly import resultant
 from .realalg import (
     QQ,
     Num,
-    _sign_at,
-    _variations,
-    pdeg,
     pdivmod,
     pgcd,
-    ptrim,
     sturm_chain,
+    sturm_variations,
 )
 
 
@@ -103,26 +101,6 @@ class AdjacencyGraph:
                 sorted(groups.values(), key=lambda g: min(g))]
 
 
-def _restrict(field, poly, values, free):
-    """poly as a coefficient list over field in its variable number free,
-    the other variables set, in order, to values (field elements)."""
-    out = [field.zero] * (poly.degree_in(poly.variables[free]) + 1)
-    for expo, c in poly.terms.items():
-        term = field.from_fraction(c)
-        for e, v in zip(expo[:free] + expo[free + 1:], values):
-            for _ in range(e):
-                term = field.mul(term, v)
-        out[expo[free]] = field.add(out[expo[free]], term)
-    return ptrim(field, out)
-
-
-def _variations_at(field, chain, t):
-    """Sign variations of a Sturm chain at the rational t, and whether t is
-    a root of the chain's polynomial."""
-    signs = [_sign_at(field, q, t) for q in chain]
-    return _variations(signs), signs[0] == 0
-
-
 def _near_endpoint(field, upolys, r_handle, far_handle, side):
     """A rational u between r and far, with no real root of the upolys
     (coefficient lists over field) from r to u.
@@ -145,8 +123,8 @@ def _near_endpoint(field, upolys, r_handle, far_handle, side):
             return False
         a, b = sorted((r_handle.lo if side > 0 else r_handle.hi, u))
         for chain in chains:
-            va, root_a = _variations_at(field, chain, a)
-            vb, root_b = _variations_at(field, chain, b)
+            va, root_a = sturm_variations(field, chain, a)
+            vb, root_b = sturm_variations(field, chain, b)
             if root_a or root_b or va != vb:
                 return False
         return True
@@ -176,14 +154,12 @@ def _limit_codes(field, fibre, seps, count):
     section over that cell, and len(seps) plus infinity.
     """
     chain = sturm_chain(field, fibre)
-    leads = [field.sign(q[-1]) for q in chain]
-    below = [_variations([s * (-1) ** pdeg(q) for s, q in zip(leads, chain)])]
-    for t in seps:
-        v, root = _variations_at(field, chain, t)
+    below = []
+    for t in [-math.inf, *seps, math.inf]:
+        v, root = sturm_variations(field, chain, t)
         if root:
             raise TopologyError("a root curve meets a separator")
         below.append(v)
-    below.append(_variations(leads))
     codes = [i for i, (a, b) in enumerate(zip(below, below[1:]))
              for _ in range(a - b)]
     if len(codes) != count:
@@ -240,15 +216,15 @@ def _axis_codes(decomp, upper, lower, P, seps, count):
     fixed = [c.data for c in stack.coords] + [
         field.from_fraction(c.as_fraction())
         for c in decomp.stacks[lower].coords[k + 1:]]
-    avoid = [_restrict(field, P, fixed + [field.from_fraction(s)], k)
+    avoid = [restrict(field, P, fixed + [field.from_fraction(s)], k)
              for s in seps]
     for j in range(k + 1, decomp.level - 1):
         crossing = layers[j].stacks[upper[:j]].product(layers[j].basis)
         if crossing is not None:
-            avoid.append(_restrict(field, crossing, fixed[:j], k))
+            avoid.append(restrict(field, crossing, fixed[:j], k))
     u = _near_endpoint(field, avoid, sections[t].handle, far, side)
     point = fixed[:k] + [field.from_fraction(u)] + fixed[k:]
-    fibre = _restrict(field, P, point, decomp.level - 1)
+    fibre = restrict(field, P, point)
     return _limit_codes(field, fibre, seps, count)
 
 
@@ -274,22 +250,22 @@ def _curve_end_codes(decomp, upper, lower, P, seps, count):
     r = x_sections[t].handle
     avoid = []
     for s in seps:
-        res = _restrict(QQ, resultant(P.subs_var(z, s), g, y), [], 0)
+        res = restrict(QQ, resultant(P.subs_var(z, s), g, y), [])
         while res and r.vanishes(res):
             root_poly = [-r.exact, Fraction(1)] if r.is_rational() else r.sqf
             res, _ = pdivmod(QQ, res, pgcd(QQ, res, root_poly))
         avoid.append(res)
     x1 = _near_endpoint(QQ, avoid, r, far, side)
-    value = _build_stack(QQ, [Num.rational(x1)], base.basis).sections[q].value
+    value = build_stack(QQ, [Num.rational(x1)], base.basis).sections[q].value
     field = value.field
-    fibre = _restrict(field, P, [field.from_fraction(x1), value.data], 2)
+    fibre = restrict(field, P, [field.from_fraction(x1), value.data])
     return _limit_codes(field, fibre, seps, count)
 
 
 def _pair_codes(decomp, upper, lower, known):
     """Limit codes of the sections over base cell upper at base cell lower
-    in its closure.  known holds the codes of the pairs whose dimensions
-    differ by one."""
+    in its closure.  known[u][l] holds the codes of the pairs whose
+    dimensions differ by one."""
     top = decomp.stacks[upper]
     if not top.sections:
         return []
@@ -303,16 +279,16 @@ def _pair_codes(decomp, upper, lower, known):
         # closure of the 2-cell, so their limits at the point are the
         # limits, along a 1-cell between the two, of the sections they
         # converge to on that 1-cell
-        mid = next((m for (u, m) in known
-                    if u == upper and (m, lower) in known), None)
+        mid = next((m for m in known.get(upper, ())
+                    if lower in known.get(m, ())), None)
         if mid is None:
             raise TopologyError(f"no 1-cell between base cells {upper} "
                                 f"and {lower}")
         s_mid = len(decomp.stacks[mid].sections)
         s = len(decomp.stacks[lower].sections)
-        inner = known[mid, lower]
+        inner = known[mid][lower]
         return [0 if c == 0 else s + 1 if c > s_mid else inner[c - 1]
-                for c in known[upper, mid]]
+                for c in known[upper][mid]]
     return walk(decomp, upper, lower, top.product(decomp.basis),
                 decomp.stacks[lower].sector_samples(), len(top.sections))
 
@@ -348,7 +324,7 @@ def _edges(decomp):
     known = {}
     for lower, upper in pairs:
         codes = _pair_codes(decomp, upper, lower, known)
-        known[upper, lower] = codes
+        known.setdefault(upper, {})[lower] = codes
         edges.update(map(frozenset, _limit_edges(
             upper, lower, codes, len(decomp.stacks[lower].sections))))
     return edges
@@ -551,13 +527,13 @@ def _maxima_witness(X, components, env, ceiling, functionals):
         maxima = local_maxima_formula(closed, f)
         try:
             d = compatible_decomposition([closed, maxima], ceiling=ceiling)
-            graph = adjacency(d)
         except CADError as exc:
             best = best or {"functional": f, "error": str(exc)}
             continue
         dim_x = max((c.dim for c in d.cells if c.memberships[0]), default=-1)
         max_cells = [c for c in d.cells if c.memberships[1]]
         dim_m = max((c.dim for c in max_cells), default=-1)
+        graph = adjacency(d)
         inside = [c.index_path for c in d.cells if c.memberships[0]]
         met = 0
         for group in graph.components(restrict=inside):
