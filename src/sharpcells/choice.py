@@ -45,9 +45,6 @@ class ChoiceError(CADError):
     pass
 
 
-_COUNTER = itertools.count()
-
-
 def _inst(psi, mapping, tag):
     mapping = dict(mapping)
     for b in bound_vars(psi):
@@ -70,6 +67,9 @@ def region_formulas(total: Formula, fiber_var: str) -> dict:
     no larger number is.
     """
     v = fiber_var
+    # numbers for fresh bound names, unique within this region set and the
+    # same on every call, so equal inputs give equal formulas
+    counter = itertools.count()
 
     def member(x, tag):
         return _inst(total, {v: x}, tag)
@@ -77,12 +77,12 @@ def region_formulas(total: Formula, fiber_var: str) -> dict:
     # each builder draws fresh bound names, so a region may embed several
     # copies of another without rebinding a variable
     def whole_line():
-        t = next(_COUNTER)
+        t = next(counter)
         xf = f"_c{t}f"
         return Forall(xf, member(xf, t))
 
     def unbounded_below():
-        t = next(_COUNTER)
+        t = next(counter)
         M, xm = f"_c{t}M", f"_c{t}m"
         return Forall(M, Exists(xm, And([
             member(xm, t), _gt(f"{M} - {xm}")])))
@@ -91,7 +91,7 @@ def region_formulas(total: Formula, fiber_var: str) -> dict:
         return And([unbounded_below(), Not(whole_line())])
 
     def region_c():
-        t = next(_COUNTER)
+        t = next(counter)
         a, x1, x2, eps, z = (f"_c{t}{s}" for s in ("a", "1", "2", "e", "z"))
         graph_a = And([
             Forall(x1, Or([Not(member(x1, f"{t}l")),
@@ -105,7 +105,7 @@ def region_formulas(total: Formula, fiber_var: str) -> dict:
             Forall(x2, Or([Not(_gt(f"{x2} - {a}")), member(x2, f"{t}u")])),
         ]))
 
-    t = next(_COUNTER)
+    t = next(counter)
     x0 = f"_c{t}0"
     region_d = And([Exists(x0, member(x0, t)),
                     Not(whole_line()), Not(region_b()), Not(region_c())])

@@ -6,12 +6,16 @@ polynomial has an empty term map and total degree 0 by convention.
 
 This module is the library's only boundary to sympy.  Factoring,
 discriminants and resultants run on sympy's dense integer polynomials over
-ZZ; no sympy expression is ever built.
+ZZ; no sympy expression is ever built.  Their results are memoised on
+integer keys that hold no variable names, so the same polynomial under
+other names is factored once; the memo keeps the 1,024 most recently used
+answers of all six kernel functions together.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 
 from sympy.polys.densebasic import dmp_from_dict, dmp_to_dict
@@ -281,6 +285,22 @@ class Polynomial:
 # ---------------------------------------------------------------------------
 # Denominators are cleared on the way in, so a discriminant or resultant is
 # exact up to a nonzero rational factor; callers normalize with .primitive().
+#
+# Every kernel call goes through _memo, keyed on the integer data after
+# denominators are cleared: a univariate coefficient tuple, or a multivariate
+# polynomial's sorted (exponents, integer) terms in the kernel's variable
+# order.  Keys and answers hold no variable names, so the fresh bound names a
+# quantified formula is instantiated with do not defeat the memo, and both
+# are tuples, so no caller can change a cached answer.
+
+_MEMO_SIZE = 1024
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _memo(kernel, *keys):
+    """kernel(*keys), computed once per distinct key while it stays among
+    the _MEMO_SIZE most recently used."""
+    return kernel(*keys)
 
 
 def _integers(coeffs):
@@ -297,27 +317,30 @@ def primitive_integers(coeffs):
     return [c // g for c in ints]
 
 
-def _to_dense(p, order):
-    """p as a dense ZZ polynomial over the variables of order, outermost
-    first."""
+def _key(p, order):
+    """p's integer terms over the variables of order, outermost first."""
     pos = [p.variables.index(v) for v in order]
-    terms = zip((tuple(e[i] for i in pos) for e in p.terms),
-                _integers(p.terms.values()))
-    return dmp_from_dict({e: ZZ(c) for e, c in terms}, len(order) - 1, ZZ)
+    return tuple(sorted(zip((tuple(e[i] for i in pos) for e in p.terms),
+                            _integers(p.terms.values()))))
 
 
-def _from_dense(f, order):
-    if not order:
-        return Polynomial.constant(int(f), ())
-    return Polynomial(order, {e: int(c) for e, c in
-                              dmp_to_dict(f, len(order) - 1).items()})
+def _from_key(terms, n):
+    """The dense ZZ polynomial in n variables with these terms."""
+    return dmp_from_dict({e: ZZ(c) for e, c in terms}, n - 1, ZZ)
+
+
+def _terms(f, n):
+    """The dense ZZ polynomial f in n variables as (exponents, int) terms."""
+    if not n:
+        return (((), int(f)),) if f else ()
+    return tuple((e, int(c)) for e, c in dmp_to_dict(f, n - 1).items())
 
 
 def _eliminating(var, *polys):
-    """The variables other than var, and the polynomials in dense form with
-    var moved to the front."""
+    """The variables other than var, and the keys of polys with var moved
+    to the front."""
     rest = tuple(v for v in polys[0].variables if v != var)
-    return rest, [_to_dense(p, (var,) + rest) for p in polys]
+    return rest, [_key(p, (var,) + rest) for p in polys]
 
 
 def _in_order(factors):
@@ -327,55 +350,79 @@ def _in_order(factors):
     return [f for f, _ in ordered]
 
 
+def _factor(f, n):
+    _, factors = dmp_factor_list(_from_key(f, n), n - 1, ZZ)
+    return tuple(_terms(g, n) for g in _in_order(factors))
+
+
 def factor(p: Polynomial):
     """Distinct nonconstant irreducible factors of p over the rationals, each
     integer-primitive with positive leading coefficient."""
     if p.is_constant():
         return []
-    _, factors = dmp_factor_list(_to_dense(p, p.variables),
-                                 len(p.variables) - 1, ZZ)
-    return [_from_dense(f, p.variables).primitive()
-            for f in _in_order(factors)]
+    return [Polynomial(p.variables, dict(terms)).primitive()
+            for terms in _memo(_factor, _key(p, p.variables),
+                               len(p.variables))]
 
 
 def _to_dup(coeffs):
-    return [ZZ(c) for c in reversed(_integers(coeffs))]
+    return tuple(ZZ(c) for c in reversed(_integers(coeffs)))
 
 
 def _from_dup(f):
     return [Fraction(int(c)) for c in reversed(f)]
 
 
+def _factor_dup(f):
+    _, factors = dup_factor_list(list(f), ZZ)
+    return tuple(tuple(g) for g in _in_order(factors))
+
+
+def _sqf_dup(f):
+    return tuple(dup_sqf_part(list(f), ZZ))
+
+
+def _gcd_dup(f, g):
+    _, h = dup_primitive(dup_gcd(list(f), list(g), ZZ), ZZ)
+    return tuple(h)
+
+
 def factor_univariate(coeffs):
     """Irreducible factors of a nonzero univariate polynomial over the
     rationals; coefficient lists of Fractions indexed by degree."""
-    _, factors = dup_factor_list(_to_dup(coeffs), ZZ)
-    return [_from_dup(f) for f in _in_order(factors)]
+    return [_from_dup(f) for f in _memo(_factor_dup, _to_dup(coeffs))]
 
 
 def squarefree_univariate(coeffs):
     """Squarefree part of a nonzero univariate polynomial over the
     rationals, integer-primitive with positive leading coefficient; lists
     as in factor_univariate."""
-    return _from_dup(dup_sqf_part(_to_dup(coeffs), ZZ))
+    return _from_dup(_memo(_sqf_dup, _to_dup(coeffs)))
 
 
 def gcd_univariate(p, q):
     """Greatest common divisor of two nonzero univariate polynomials over
     the rationals, integer-primitive with positive leading coefficient;
     lists as in factor_univariate."""
-    _, g = dup_primitive(dup_gcd(_to_dup(p), _to_dup(q), ZZ), ZZ)
-    return _from_dup(g)
+    return _from_dup(_memo(_gcd_dup, _to_dup(p), _to_dup(q)))
+
+
+def _discriminant(f, n):
+    return _terms(dmp_discriminant(_from_key(f, n), n - 1, ZZ), n - 1)
+
+
+def _resultant(f, g, n):
+    return _terms(dmp_resultant(_from_key(f, n), _from_key(g, n), n - 1,
+                                ZZ), n - 1)
 
 
 def discriminant(p: Polynomial, var):
     """Discriminant of p with respect to var, in the remaining variables."""
     rest, (f,) = _eliminating(var, p)
-    return _from_dense(dmp_discriminant(f, len(rest), ZZ), rest)
+    return Polynomial(rest, dict(_memo(_discriminant, f, len(rest) + 1)))
 
 
 def resultant(p: Polynomial, q: Polynomial, var):
     """Resultant of p and q with respect to var, in the remaining variables."""
     rest, (f, g) = _eliminating(var, p, q)
-    return _from_dense(dmp_resultant(f, g, len(rest), ZZ), rest)
-
+    return Polynomial(rest, dict(_memo(_resultant, f, g, len(rest) + 1)))

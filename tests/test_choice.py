@@ -1,5 +1,6 @@
 """Definable choice: case analysis, exact evaluation, region formulas."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ from sharpcells.choice import (
     choice_to_json,
     region_formulas,
 )
-from sharpcells.formula import eval_qf, subs_rationals
+from sharpcells.formula import bound_vars, eval_qf, subs_rationals
 from sharpcells.parser import parse_formula
 
 
@@ -131,3 +132,16 @@ def test_fiber_vars_validation_and_json():
     assert doc["version"] == 1
     assert doc["fiber"] == ["x"] and doc["parameters"] == ["l"]
     assert set(doc["stages"][0]["regions"]) == {"A", "B", "C", "D"}
+
+
+def test_region_formulas_are_the_same_on_every_call():
+    total = parse_formula("(x - l > 0) and (l + 1 - x > 0)")
+    first, second = (json.dumps(choice_to_json(choice_1d(
+        total, fiber_vars=["x"]))) for _ in range(2))
+    assert first == second
+    # fresh bound names stay distinct within each region, copies of a
+    # quantified family included
+    family = parse_formula("exists y. ((x - l > 0) and (y^2 - x < 0))")
+    for region in region_formulas(family, "x").values():
+        names = bound_vars(region)
+        assert len(names) == len(set(names))

@@ -6,18 +6,28 @@ expression API appears here alone, as the reference.
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
+from sympy.polys.densebasic import dmp_from_dict, dmp_to_dict
+from sympy.polys.densetools import dup_primitive
+from sympy.polys.domains import ZZ
+from sympy.polys.euclidtools import dmp_discriminant, dmp_resultant, dup_gcd
+from sympy.polys.factortools import dmp_factor_list, dup_factor_list
+from sympy.polys.sqfreetools import dup_sqf_part
 
+from sharpcells import poly
 from sharpcells.cad import project_polys
 from sharpcells.poly import (
     Polynomial,
     discriminant,
     factor,
     factor_univariate,
+    gcd_univariate,
     resultant,
+    squarefree_univariate,
 )
 from sharpcells.parser import parse_poly
 
@@ -250,3 +260,133 @@ def test_projection_matches_expression_reference(polys):
     ours = project_polys(polys, variables)
     assert len(set(ours)) == len(ours)
     assert set(ours) == reference_projection(polys, variables)
+
+
+# -- the kernel memo ----------------------------------------------------------
+
+
+RENAME = {"x": "u", "y": "v", "z": "w"}
+
+
+def dense(p, order):
+    """p over the variables of order as sympy's dense ZZ polynomial, with
+    denominators cleared by their least common multiple."""
+    denom = lcm(*(c.denominator for c in p.terms.values()))
+    pos = [p.variables.index(v) for v in order]
+    return dmp_from_dict({tuple(e[i] for i in pos): ZZ(int(c * denom))
+                          for e, c in p.terms.items()}, len(order) - 1, ZZ)
+
+
+def from_dense(f, order):
+    if not order:
+        return Polynomial.constant(int(f), ())
+    return Polynomial(order, dmp_to_dict(f, len(order) - 1))
+
+
+def from_dup(f):
+    return [Fraction(int(c)) for c in reversed(f)]
+
+
+def from_memo(fn, *args):
+    """fn(*args), which must be answered without computing anything."""
+    misses = poly._memo.cache_info().misses
+    out = fn(*args)
+    assert poly._memo.cache_info().misses == misses
+    return out
+
+
+def cold_and_warm(fn, *args):
+    """fn(*args) from an empty memo, checked equal to the memoised answer."""
+    poly._memo.cache_clear()
+    cold = fn(*args)
+    assert from_memo(fn, *args) == cold
+    return cold
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda n: st.tuples(rational_polys(VARS[:n]), rational_polys(VARS[:n]),
+                        st.permutations(VARS[:n]))))
+def test_memoised_kernel_ignores_variable_names(case):
+    p, q, order = case
+    variables, var = p.variables, order[0]
+    rest = tuple(v for v in variables if v != var)
+    renamed = {v: RENAME[v] for v in variables}
+
+    factors = cold_and_warm(factor, p)
+    _, ref = dmp_factor_list(dense(p, variables), len(variables) - 1, ZZ)
+    assert set(factors) == {from_dense(g, variables).primitive()
+                            for g, _ in ref}
+    assert from_memo(factor, p.rename(renamed)) == \
+        [f.rename(renamed) for f in factors]
+    assert set(factor(p.extend(order))) == \
+        {f.extend(order).primitive() for f in factors}
+
+    if p.degree_in(var) >= 1:
+        d = cold_and_warm(discriminant, p, var)
+        assert d == from_dense(dmp_discriminant(
+            dense(p, (var,) + rest), len(rest), ZZ), rest)
+        assert from_memo(discriminant, p.rename(renamed), renamed[var]) == \
+            d.rename(renamed)
+        assert discriminant(p.extend(order), var) == d.extend(order[1:])
+    if p.degree_in(var) >= 1 and q.degree_in(var) >= 1:
+        r = cold_and_warm(resultant, p, q, var)
+        assert r == from_dense(dmp_resultant(
+            dense(p, (var,) + rest), dense(q, (var,) + rest), len(rest),
+            ZZ), rest)
+        assert from_memo(resultant, p.rename(renamed), q.rename(renamed),
+                         renamed[var]) == r.rename(renamed)
+        assert resultant(p.extend(order), q.extend(order), var) == \
+            r.extend(order[1:])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.tuples(rational_polys(("x",)), rational_polys(("x",))))
+def test_memoised_univariate_kernel_matches_dense_sympy(case):
+    (p, f), (q, g) = (([c.constant_value() for c in r.coeffs_in_last()],
+                       dense(r, ("x",))) for r in case)
+    ours = cold_and_warm(factor_univariate, p)
+    _, ref = dup_factor_list(f, ZZ)
+    assert sorted(map(tuple, ours)) == \
+        sorted(tuple(from_dup(h)) for h, _ in ref)
+    assert cold_and_warm(squarefree_univariate, p) == \
+        from_dup(dup_sqf_part(f, ZZ))
+    assert cold_and_warm(gcd_univariate, p, q) == \
+        from_dup(dup_primitive(dup_gcd(f, g, ZZ), ZZ)[1])
+
+
+def test_callers_cannot_change_memoised_answers():
+    p = parse_poly("x^2*y - y^3 + x", ("x", "y"))
+    q = parse_poly("x*y^2 - 2*x + 1", ("x", "y"))
+    for fn, args in [(factor, (p * q,)), (discriminant, (p, "y")),
+                     (resultant, (p, q, "y"))]:
+        first = fn(*args)
+        polys = first if isinstance(first, list) else [first]
+        before = [dict(f.terms) for f in polys]
+        for f in polys:
+            f.terms[(7, 7)] = Fraction(1)
+            f.terms.pop(next(iter(f.terms)))
+        again = fn(*args)
+        again = again if isinstance(again, list) else [again]
+        assert [f.terms for f in again] == before
+
+    coeffs = [Fraction(c) for c in (2, -1, -2, 1)]  # (x - 1)(x + 1)(x - 2)
+    for fn, args in [(factor_univariate, (coeffs,)),
+                     (squarefree_univariate, (coeffs,)),
+                     (gcd_univariate, (coeffs, [Fraction(-1), Fraction(1)]))]:
+        first = fn(*args)
+        before = [list(c) if isinstance(c, list) else c for c in first]
+        inner = first[0] if isinstance(first[0], list) else first
+        inner[0] += 1
+        inner.append(Fraction(3))
+        assert fn(*args) == before
+
+
+def test_memo_holds_at_most_its_size():
+    size = poly._MEMO_SIZE
+    assert poly._memo.cache_info().maxsize == size
+    for k in range(size + 50):
+        squarefree_univariate([Fraction(k), Fraction(1)])
+    info = poly._memo.cache_info()
+    assert info.misses == size + 50
+    assert info.currsize == size
