@@ -4,6 +4,7 @@ The library reaches sympy only through dense ZZ polynomials; the sympy
 expression API appears here alone, as the reference.
 """
 
+import copy
 import random
 from fractions import Fraction
 from math import lcm
@@ -361,24 +362,21 @@ def test_callers_cannot_change_memoised_answers():
     for fn, args in [(factor, (p * q,)), (discriminant, (p, "y")),
                      (resultant, (p, q, "y"))]:
         first = fn(*args)
-        polys = first if isinstance(first, list) else [first]
-        before = [dict(f.terms) for f in polys]
-        for f in polys:
+        before = copy.deepcopy(first)
+        for f in first if isinstance(first, list) else [first]:
             f.terms[(7, 7)] = Fraction(1)
             f.terms.pop(next(iter(f.terms)))
-        again = fn(*args)
-        again = again if isinstance(again, list) else [again]
-        assert [f.terms for f in again] == before
+        assert fn(*args) == before
 
     coeffs = [Fraction(c) for c in (2, -1, -2, 1)]  # (x - 1)(x + 1)(x - 2)
     for fn, args in [(factor_univariate, (coeffs,)),
                      (squarefree_univariate, (coeffs,)),
                      (gcd_univariate, (coeffs, [Fraction(-1), Fraction(1)]))]:
         first = fn(*args)
-        before = [list(c) if isinstance(c, list) else c for c in first]
-        inner = first[0] if isinstance(first[0], list) else first
-        inner[0] += 1
-        inner.append(Fraction(3))
+        before = copy.deepcopy(first)
+        coeffs_of_first = first[0] if fn is factor_univariate else first
+        coeffs_of_first[0] += 1
+        coeffs_of_first.append(Fraction(3))
         assert fn(*args) == before
 
 
