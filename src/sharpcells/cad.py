@@ -26,7 +26,6 @@ from .formula import (
     Not,
     Or,
     bound_vars,
-    resolve_named,
 )
 from .fd import fd_of_formula
 from .poly import (
@@ -86,9 +85,6 @@ class Cell:
     def level(self):
         return len(self.index_path)
 
-    def kinds(self):
-        return tuple("point" if i % 2 == 1 else "interval" for i in self.index_path)
-
     def sample_dict(self, variables):
         return dict(zip(variables, self.coords))
 
@@ -104,12 +100,11 @@ class CellDecomposition:
     lifting, adjacency, and cell formulas.
     """
 
-    def __init__(self, variables, basis, cells, base, inputs):
+    def __init__(self, variables, basis, cells, base):
         self.variables = tuple(variables)
         self.basis = list(basis)
         self.cells = list(cells)
         self.base = base
-        self.inputs = list(inputs)
         self.stacks = {}  # base index_path -> Stack
 
     @property
@@ -444,22 +439,22 @@ def cad(polys, variables=None, ceiling=DEFAULT_CEILING):
         raise CeilingError(
             f"dimension {len(variables)} exceeds ceiling {ceiling}")
     basis = factor_basis(polys, variables)
-    return _cad_levels(basis, variables, polys)
+    return _cad_levels(basis, variables)
 
 
-def _cad_levels(basis, variables, inputs):
+def _cad_levels(basis, variables):
     if len(variables) == 1:
         virtual_base = Cell((), QQ, [], 0)
         stack = build_stack(QQ, [], basis)
         cells = _lift_cells(virtual_base, stack)
-        d = CellDecomposition(variables, basis, cells, None, inputs)
+        d = CellDecomposition(variables, basis, cells, None)
         d.stacks[()] = stack
         return d
     proj = project_polys(basis, variables) if basis else []
     base = _cad_levels(
         factor_basis(proj, variables[:-1]) if proj else [],
-        variables[:-1], proj)
-    d = CellDecomposition(variables, basis, [], base, inputs)
+        variables[:-1])
+    d = CellDecomposition(variables, basis, [], base)
     cells = []
     for base_cell in base.cells:
         stack = build_stack(base_cell.field, base_cell.coords, basis)
@@ -688,7 +683,7 @@ def cylinder_cells(decomp, level, pad_prefix="_w"):
     d = decomp
     for k in range(decomp.level + 1, level + 1):
         var = f"{pad_prefix}{k}"
-        nd = CellDecomposition(d.variables + (var,), [], [], d, d.inputs)
+        nd = CellDecomposition(d.variables + (var,), [], [], d)
         cells = []
         for c in d.cells:
             nd.stacks[c.index_path] = Stack(c.field, c.coords, [], [])
@@ -731,7 +726,7 @@ def _eval_atom(atom, point):
     return s < 0
 
 
-def decide(psi: Formula, point=None, env=None, ceiling=DEFAULT_CEILING):
+def decide(psi: Formula, point=None, ceiling=DEFAULT_CEILING):
     """Exact truth value of a formula under a variable assignment.
 
     The assignment must cover every free variable (values may be rational
@@ -740,8 +735,6 @@ def decide(psi: Formula, point=None, env=None, ceiling=DEFAULT_CEILING):
     limited by the ceiling.
     """
     point = dict(point or {})
-    if env is not None:
-        psi = resolve_named(psi, env)
     missing = [v for v in psi.free_vars() if v not in point]
     if missing:
         raise CADError(f"unassigned free variables {missing}")
@@ -821,8 +814,7 @@ def _test_points(psi, point, ceiling):
 # ---------------------------------------------------------------------------
 
 
-def compatible_decomposition(sets, variables=None, env=None,
-                             ceiling=DEFAULT_CEILING):
+def compatible_decomposition(sets, variables=None, ceiling=DEFAULT_CEILING):
     """A cylindrical decomposition of R^n compatible with the given sets.
 
     Each input formula defines a subset of the common ambient space; every
@@ -831,8 +823,6 @@ def compatible_decomposition(sets, variables=None, env=None,
     polynomials; membership is then decided exactly at cell samples.
     """
     sets = list(sets)
-    if env is not None:
-        sets = [resolve_named(s, env) for s in sets]
     if variables is None:
         order = []
         for s in sets:

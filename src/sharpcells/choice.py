@@ -19,7 +19,6 @@ from .cad import (
     DEFAULT_CEILING,
     _as_num,
     _decide,
-    _deepest_field,
     _test_points,
 )
 from .fd import FDPair, fd_of_formula
@@ -31,25 +30,16 @@ from .formula import (
     Formula,
     Not,
     Or,
-    bound_vars,
-    rename_vars,
-    resolve_named,
+    instantiate,
     to_text,
     validate,
 )
 from .parser import parse_poly
-from .realalg import num_in
+from .realalg import num_join
 
 
 class ChoiceError(CADError):
     pass
-
-
-def _inst(psi, mapping, tag):
-    mapping = dict(mapping)
-    for b in bound_vars(psi):
-        mapping.setdefault(b, f"_cb{tag}_{b}")
-    return rename_vars(psi, mapping)
 
 
 def _gt(text):
@@ -72,7 +62,7 @@ def region_formulas(total: Formula, fiber_var: str) -> dict:
     counter = itertools.count()
 
     def member(x, tag):
-        return _inst(total, {v: x}, tag)
+        return instantiate(total, {v: x}, f"_cb{tag}_")
 
     # each builder draws fresh bound names, so a region may embed several
     # copies of another without rebinding a variable
@@ -119,8 +109,8 @@ def region_formulas(total: Formula, fiber_var: str) -> dict:
 
 
 def _nadd(a, b):
-    field = _deepest_field([a, b])
-    return num_in(field, a) + num_in(field, b)
+    a, b = num_join(a, b)
+    return a + b
 
 
 def _axis_case(psi, var, point, ceiling):
@@ -220,7 +210,7 @@ class ChoiceFunction:
         return self.evaluate(lam)[1]
 
 
-def choice(total: Formula, ell: int, env=None, strict=False,
+def choice(total: Formula, ell: int, strict=False,
            samples=20, seed=0, ceiling=DEFAULT_CEILING,
            fiber_vars=None) -> ChoiceFunction:
     """Choice function for a family whose fibers are subsets of R^ell.
@@ -231,8 +221,6 @@ def choice(total: Formula, ell: int, env=None, strict=False,
     rational parameters, or certified through the decision procedure when
     strict is set.
     """
-    if env is not None:
-        total = resolve_named(total, env)
     fv = total.free_vars()
     if ell < 1 or ell > len(fv):
         raise ChoiceError(f"need 1 <= ell <= {len(fv)}")
@@ -274,10 +262,10 @@ def choice(total: Formula, ell: int, env=None, strict=False,
     return fn
 
 
-def choice_1d(total: Formula, env=None, strict=False, samples=20, seed=0,
+def choice_1d(total: Formula, strict=False, samples=20, seed=0,
               ceiling=DEFAULT_CEILING, fiber_vars=None) -> ChoiceFunction:
     """Choice for families of subsets of the line."""
-    return choice(total, 1, env=env, strict=strict, samples=samples,
+    return choice(total, 1, strict=strict, samples=samples,
                   seed=seed, ceiling=ceiling, fiber_vars=fiber_vars)
 
 

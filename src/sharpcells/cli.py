@@ -262,7 +262,8 @@ def _cmd_tree(args):
         return 1
     fd = trees.omega_fd(t, env)
     psi = trees.tree_to_formula(t, env)
-    doc = {"version": 1, "omega_fd": list(fd.as_tuple()),
+    # carrying the tree makes the document a valid tree.v1 input
+    doc = {**trees.tree_to_json(t), "omega_fd": list(fd.as_tuple()),
            "formula": to_text(psi),
            "formula_fd": list(fd_of_formula(psi).as_tuple())}
     _emit(args, doc, [f"tree FD {fd.as_tuple()}",
@@ -299,7 +300,13 @@ def _cmd_reduce_check(args):
         corpus.append((FDPair(*entry["source"]),
                        calculus.derivation_from_json(entry["derivation"])))
     rep = calculus.check_reduction(corpus, witness, system)
-    doc = {"version": 1, **rep}
+    # carrying the checked input makes the document a valid reduction.v1 input
+    doc = {"version": 1,
+           "witness": calculus.witness_to_json(witness),
+           "corpus": [{"source": list(source.as_tuple()),
+                       "derivation": calculus.derivation_to_json(d)}
+                      for source, d in corpus],
+           **rep}
     _emit(args, doc, calculus.report_as_text(rep).splitlines())
     return 0 if rep["passed"] else 1
 

@@ -9,7 +9,6 @@ Absolute values are expanded into squared comparisons throughout.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 from .formula import (
@@ -21,9 +20,7 @@ from .formula import (
     FormulaError,
     Not,
     Or,
-    bound_vars,
-    rename_vars,
-    resolve_named,
+    instantiate,
     validate,
 )
 from .poly import Polynomial
@@ -41,24 +38,11 @@ def _conj(parts):
     return And(parts)
 
 
-def _instantiate(psi, new_free, tag):
-    """A copy of psi with free variables renamed to new_free and bound
-    variables freshened with the given tag."""
-    old_free = psi.free_vars()
-    if len(old_free) != len(new_free):
-        raise ConstructorError("arity mismatch when instantiating formula")
-    mapping = dict(zip(old_free, new_free))
-    fresh = itertools.count()
-    for b in bound_vars(psi):
-        mapping[b] = f"_{tag}b{next(fresh)}"
-    return rename_vars(psi, mapping)
-
-
 def _dist2_text(us, vs):
     return " + ".join(f"({u} - {v})^2" for u, v in zip(us, vs))
 
 
-def diff_locus_formula(graph: Formula, ell: int, k: int, env=None) -> Formula:
+def diff_locus_formula(graph: Formula, ell: int, k: int) -> Formula:
     """The set of points where a function given by its graph relation is
     differentiable in every output coordinate.
 
@@ -68,8 +52,6 @@ def diff_locus_formula(graph: Formula, ell: int, k: int, env=None) -> Formula:
     squared.  The comparison in the conclusion is non-strict so the trivial
     case of zero displacement does not falsify it.
     """
-    if env is not None:
-        graph = resolve_named(graph, env)
     fv = graph.free_vars()
     if len(fv) != ell + k:
         raise ConstructorError(
@@ -83,8 +65,8 @@ def diff_locus_formula(graph: Formula, ell: int, k: int, env=None) -> Formula:
         vs = [f"_v{i}_{j}" for j in range(k)]
         eps = f"_e{i}"
         dlt = f"_d{i}"
-        graph_y = _instantiate(graph, ys + us, f"g{i}a")
-        graph_x = _instantiate(graph, xs + vs, f"g{i}b")
+        graph_y = instantiate(graph, ys + us, f"_g{i}ab")
+        graph_x = instantiate(graph, xs + vs, f"_g{i}bb")
         dist2 = _dist2_text(ys, xs)
         near = parse_poly(f"{dist2} - {dlt}^2")
         slope = " - ".join(f"{L}*({y} - {x})"
@@ -104,10 +86,8 @@ def diff_locus_formula(graph: Formula, ell: int, k: int, env=None) -> Formula:
     return validate(_conj(conjuncts))
 
 
-def local_maxima_formula(X: Formula, functional, env=None) -> Formula:
+def local_maxima_formula(X: Formula, functional) -> Formula:
     """The set of local maxima of a linear functional restricted to X."""
-    if env is not None:
-        X = resolve_named(X, env)
     xs = list(X.free_vars())
     functional = [Fraction(c) for c in functional]
     if len(functional) != len(xs):
@@ -115,7 +95,7 @@ def local_maxima_formula(X: Formula, functional, env=None) -> Formula:
             f"functional has length {len(functional)}, expected {len(xs)}")
     ys = [f"_m{j}" for j in range(len(xs))]
     eps = "_me"
-    X_y = _instantiate(X, ys, "mx")
+    X_y = instantiate(X, ys, "_mxb")
     dist2 = parse_poly(f"{_dist2_text(ys, xs)} - {eps}^2")
     terms = []
     for c, y, x in zip(functional, ys, xs):
@@ -136,15 +116,12 @@ def local_maxima_formula(X: Formula, functional, env=None) -> Formula:
     return validate(And([X, cond]))
 
 
-def diagonal_formulas(X_a: Formula, X_b: Formula, n: int, env=None):
+def diagonal_formulas(X_a: Formula, X_b: Formula, n: int):
     """Two product sets used when comparing section germs.
 
     The first output is X_a x X_b restricted by equality of the first n-1
     coordinates; the second adds equality in coordinate n.
     """
-    if env is not None:
-        X_a = resolve_named(X_a, env)
-        X_b = resolve_named(X_b, env)
     xs = list(X_a.free_vars())
     ell = len(xs)
     if len(X_b.free_vars()) != ell:
@@ -152,8 +129,8 @@ def diagonal_formulas(X_a: Formula, X_b: Formula, n: int, env=None):
     if not 1 <= n <= ell:
         raise ConstructorError(f"need 1 <= n <= {ell}, got {n}")
     ys = [f"{v}_r" for v in xs]
-    X_b_r = _instantiate(X_b, ys, "dg")
-    X_a_f = _instantiate(X_a, xs, "df")  # freshen bound vars against X_b_r
+    X_b_r = instantiate(X_b, ys, "_dgb")
+    X_a_f = instantiate(X_a, xs, "_dfb")  # freshen bound vars against X_b_r
     eqs = [Atom(parse_poly(f"{x} - {y}"), "=")
            for x, y in zip(xs[: n - 1], ys[: n - 1])]
     first = _conj([X_a_f, X_b_r] + eqs)
@@ -190,11 +167,9 @@ def _unit_box_atom(v: str) -> Atom:
     return Atom(parse_poly(f"{v} - {v}^2"), ">")
 
 
-def rescale_to_unit(X: Formula, env=None) -> Formula:
+def rescale_to_unit(X: Formula) -> Formula:
     """The preimage of X in the open unit box under the coordinatewise
     homeomorphism from the interval onto the line."""
-    if env is not None:
-        X = resolve_named(X, env)
 
     def go(node):
         if isinstance(node, Atom):

@@ -9,7 +9,6 @@ named sets carrying their own format/degree annotation.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from .poly import Polynomial
 
@@ -261,25 +260,30 @@ class Environment:
 
 
 def resolve_named(psi, env):
-    """Inline every named-set reference, renaming target variables to the
-    reference's arguments (bound variables are freshened to avoid capture)."""
-    if isinstance(psi, Atom):
-        return psi
-    if isinstance(psi, NamedAtom):
-        target, _ = env.lookup(psi.name)
-        target = resolve_named(target, env)
-        mapping = dict(zip(target.free_vars(), psi.args))
-        fresh = itertools.count()
-        for b in bound_vars(target):
-            mapping[b] = f"_{psi.name}{next(fresh)}"
-        return rename_vars(target, mapping)
-    if isinstance(psi, _Junction):
-        return type(psi)([resolve_named(c, env) for c in psi.children])
-    if isinstance(psi, Not):
-        return Not(resolve_named(psi.child, env))
-    if isinstance(psi, _Quantifier):
-        return type(psi)(psi.var, resolve_named(psi.child, env))
-    raise FormulaError(f"unknown node {psi!r}")
+    """Inline every named-set reference.
+
+    Each occurrence @name(args) becomes the target with its free variables
+    renamed to args and its bound variables named _{name}_{k}_{i}, where k
+    counts the occurrences, so two references never bind one name twice.
+    """
+    occurrence = itertools.count()
+
+    def go(node):
+        if isinstance(node, Atom):
+            return node
+        if isinstance(node, NamedAtom):
+            target, _ = env.lookup(node.name)
+            return instantiate(resolve_named(target, env), node.args,
+                               f"_{node.name}_{next(occurrence)}_")
+        if isinstance(node, _Junction):
+            return type(node)([go(c) for c in node.children])
+        if isinstance(node, Not):
+            return Not(go(node.child))
+        if isinstance(node, _Quantifier):
+            return type(node)(node.var, go(node.child))
+        raise FormulaError(f"unknown node {node!r}")
+
+    return go(psi)
 
 
 def rename_vars(psi, mapping):
@@ -297,60 +301,42 @@ def rename_vars(psi, mapping):
     raise FormulaError(f"unknown node {psi!r}")
 
 
-def subs_rationals(psi, assignment):
-    """Substitute rational values for some free variables."""
-    assignment = {v: Fraction(x) for v, x in assignment.items()}
+def instantiate(psi, mapping, prefix):
+    """A copy of psi with free variables renamed and every binder fresh.
 
-    def go(node):
+    mapping is a dict from some free variables to their new names, or a
+    sequence of new names for all free variables in order.  The i-th
+    quantifier in walk order binds the name {prefix}{i}; a fresh name
+    equal to a free variable of the copy is an error.
+    """
+    free = psi.free_vars()
+    if not isinstance(mapping, dict):
+        mapping = list(mapping)
+        if len(mapping) != len(free):
+            raise FormulaError(f"arity mismatch: {len(free)} free variables, "
+                               f"{len(mapping)} names")
+        mapping = dict(zip(free, mapping))
+    fresh = [f"{prefix}{i}" for i in range(len(bound_vars(psi)))]
+    clash = set(fresh) & {mapping.get(v, v) for v in free}
+    if clash:
+        raise FormulaError(f"fresh bound names {sorted(clash)} are free")
+    fresh = iter(fresh)
+
+    def go(node, names):
         if isinstance(node, Atom):
-            p = node.poly
-            for v, x in assignment.items():
-                if v in p.variables:
-                    p = p.subs_var(v, x)
-            return Atom(p, node.sign)
+            return Atom(node.poly.rename(names), node.sign)
         if isinstance(node, NamedAtom):
-            raise FormulaError("resolve named atoms before substituting")
+            return NamedAtom(node.name, [names.get(v, v) for v in node.args])
         if isinstance(node, _Junction):
-            return type(node)([go(c) for c in node.children])
+            return type(node)([go(c, names) for c in node.children])
         if isinstance(node, Not):
-            return Not(go(node.child))
+            return Not(go(node.child, names))
         if isinstance(node, _Quantifier):
-            if node.var in assignment:
-                raise FormulaError(f"cannot substitute bound variable {node.var}")
-            return type(node)(node.var, go(node.child))
+            var = next(fresh)
+            return type(node)(var, go(node.child, {**names, node.var: var}))
         raise FormulaError(f"unknown node {node!r}")
 
-    return go(psi)
-
-
-def eval_qf(psi, point):
-    """Exact truth value of a quantifier-free formula at a point.
-
-    point maps variable names to Fractions (or exact algebraic numbers
-    supporting comparison against zero via their sign).
-    """
-    if isinstance(psi, Atom):
-        vals = [point[v] for v in psi.poly.variables]
-        value = psi.poly.eval(vals)
-        s = _sign(value)
-        if psi.sign == "=":
-            return s == 0
-        if psi.sign == ">":
-            return s > 0
-        return s < 0
-    if isinstance(psi, And):
-        return all(eval_qf(c, point) for c in psi.children)
-    if isinstance(psi, Or):
-        return any(eval_qf(c, point) for c in psi.children)
-    if isinstance(psi, Not):
-        return not eval_qf(psi.child, point)
-    raise FormulaError(f"not quantifier-free at {psi!r}")
-
-
-def _sign(value):
-    if isinstance(value, (int, Fraction)):
-        return (value > 0) - (value < 0)
-    return value.sign()
+    return go(psi, mapping)
 
 
 # -- canonical printer -----------------------------------------------------

@@ -729,6 +729,68 @@ def num_in(field, value):
     raise RealAlgebraError(f"cannot embed {value!r} into {field.describe()}")
 
 
+def num_join(a: Num, b: Num):
+    """a and b as numbers of one field.
+
+    That field is the deeper operand's, when the other's tower lies inside
+    its tower, and otherwise that field with the missing generators of the
+    other tower adjoined on top of it.
+    """
+    if a.field.depth() > b.field.depth():
+        b, a = num_join(b, a)
+        return a, b
+    field, embed = _tower_map(a.field, b.field)
+    return Num(field, embed(a.data)), num_in(field, b)
+
+
+def _tower_map(field, target):
+    """A field K built on target and the embedding of field's payloads
+    into K.
+
+    K is target when field is one of the fields of target's tower.
+    Otherwise field's generator is taken to the field that holds its
+    base: its defining polynomial, mapped there, is still squarefree with
+    the same real roots, so the generator's isolating interval isolates it
+    there too.  Roots among the generators of that field are divided out;
+    the generator is adjoined only when no such root or linear remainder
+    gives it.
+    """
+    tower = target
+    while tower is not None:
+        if tower is field:
+            return target, lambda d: num_in(target, Num(field, d)).data
+        tower = tower.base
+    base, embed = _tower_map(field.base, target)
+    root = field.root
+    gen = None
+    if root.exact is not None:
+        gen = base.from_fraction(root.exact)
+    else:
+        p = [embed(c) for c in root.sqf]
+        for g in _generators(base):
+            if base.raw_is_zero(peval(base, p, g)):
+                if root.lo < Num(base, g) < root.hi:
+                    gen = g
+                    break
+                p, _ = pdivmod(base, p, [base.neg(g), base.one])
+        if gen is None and pdeg(p) == 1:
+            gen = base.neg(base.mul(p[0], base.inv(p[1])))
+    if gen is not None:
+        return base, lambda d: peval(base, [embed(c) for c in d], gen)
+    K = ExtensionField(RootHandle(base, p, root.lo, root.hi))
+    return K, lambda d: peval(K, [K.lift(embed(c)) for c in d], K.gen)
+
+
+def _generators(field):
+    """The generator of every level of field's tower, as field payloads."""
+    out = []
+    level = field
+    while level is not QQ:
+        out.append(num_in(field, Num(level, level.gen)).data)
+        level = level.base
+    return out
+
+
 # ---------------------------------------------------------------------------
 # root handles: refinable references to isolated real roots
 # ---------------------------------------------------------------------------

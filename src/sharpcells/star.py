@@ -21,7 +21,7 @@ from .cad import (
 )
 from .constructors import _unit_box_atom
 from .fd import FDPair, fd_of_formula
-from .formula import And, Atom, Formula, resolve_named, to_text
+from .formula import And, Atom, Formula, instantiate, to_text
 from .parser import parse_formula
 from .topology import connected_components
 
@@ -71,15 +71,13 @@ def star_union(*reps) -> StarRep:
     return StarRep(entries)
 
 
-def to_star(X: Formula, fd=None, env=None, ceiling=DEFAULT_CEILING) -> StarRep:
+def to_star(X: Formula, fd=None, ceiling=DEFAULT_CEILING) -> StarRep:
     """Star representation of a set: one entry per connected component.
 
     Each entry's source is X itself and its FD the given (or computed)
     one, so the star degree is the component count times the degree.  The
     empty set keeps a single entry.
     """
-    if env is not None:
-        X = resolve_named(X, env)
     if fd is None:
         fd = fd_of_formula(X)
     ell = len(X.free_vars())
@@ -165,16 +163,7 @@ def star_report(decomp) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _canonical(psi, variables):
-    from .formula import rename_vars, bound_vars
-    fv = psi.free_vars()
-    mapping = dict(zip(fv, variables))
-    for i, b in enumerate(bound_vars(psi)):
-        mapping[b] = f"_sb{i}_{b}"
-    return rename_vars(psi, mapping)
-
-
-def star_ccd(reps, n, env=None, ceiling=DEFAULT_CEILING):
+def star_ccd(reps, n, ceiling=DEFAULT_CEILING):
     """Cylindrical decomposition of the first n coordinates compatible with
     every represented set.
 
@@ -200,9 +189,8 @@ def star_ccd(reps, n, env=None, ceiling=DEFAULT_CEILING):
     sets = []
     for r in reps:
         for e in r.entries:
-            src = resolve_named(e.source, env) if env is not None else e.source
-            k = len(src.free_vars())
-            psi = _canonical(src, variables[:k])
+            k = len(e.source.free_vars())
+            psi = instantiate(e.source, variables[:k], "_sb")
             pads = [_unit_box_atom(v) for v in variables[k:]]
             sets.append(And([psi] + pads) if pads else psi)
     full = compatible_decomposition(sets, variables=variables,

@@ -34,7 +34,6 @@ from .formula import (
     Not,
     Or,
     is_quantifier_free,
-    resolve_named,
 )
 from .poly import resultant
 from .realalg import (
@@ -367,12 +366,9 @@ def _cells_formula(decomp, cell_paths):
     return psi, fd_of_formula(psi)
 
 
-def connected_components(X: Formula, env=None, ceiling=DEFAULT_CEILING,
-                         decomp=None):
+def connected_components(X: Formula, ceiling=DEFAULT_CEILING, decomp=None):
     """Connected components of the set defined by X, as lists of cells with
     a defining formula and FD each."""
-    if env is not None:
-        X = resolve_named(X, env)
     if decomp is None:
         decomp = compatible_decomposition([X], ceiling=ceiling)
     graph = adjacency(decomp)
@@ -472,7 +468,7 @@ def _closed_variant(psi):
     return psi
 
 
-def check_component_bound(family, cap, env=None, ceiling=DEFAULT_CEILING,
+def check_component_bound(family, cap, ceiling=DEFAULT_CEILING,
                           witness_functionals=None) -> dict:
     """Count components across a degree-indexed family and fit the growth.
 
@@ -485,12 +481,8 @@ def check_component_bound(family, cap, env=None, ceiling=DEFAULT_CEILING,
     """
     if not family:
         raise TopologyError("empty family")
-    counts = {}
-    parts = {}
-    for D in sorted(family):
-        comps = connected_components(family[D], env=env, ceiling=ceiling)
-        counts[D] = len(comps)
-        parts[D] = comps
+    counts = {D: len(connected_components(family[D], ceiling=ceiling))
+              for D in sorted(family)}
     xs = [math.log(D) for D in counts if D >= 1]
     ys = [math.log(max(counts[D], 1)) for D in counts if D >= 1]
     if len(set(xs)) >= 2:
@@ -500,8 +492,7 @@ def check_component_bound(family, cap, env=None, ceiling=DEFAULT_CEILING,
     else:
         exponent = 0.0
     top = max(family)
-    witness = _maxima_witness(family[top], parts[top], env, ceiling,
-                              witness_functionals)
+    witness = _maxima_witness(family[top], ceiling, witness_functionals)
     return {
         "counts": counts,
         "exponent": exponent,
@@ -511,9 +502,7 @@ def check_component_bound(family, cap, env=None, ceiling=DEFAULT_CEILING,
     }
 
 
-def _maxima_witness(X, components, env, ceiling, functionals):
-    if env is not None:
-        X = resolve_named(X, env)
+def _maxima_witness(X, ceiling, functionals):
     closed = _closed_variant(X)
     ell = len(X.free_vars())
     if functionals is None:
@@ -574,14 +563,12 @@ class Stratum:
         return f"Stratum(dim {self.dim}, {len(self.cells)} cells)"
 
 
-def stratify(X: Formula, env=None, ceiling=DEFAULT_CEILING):
+def stratify(X: Formula, ceiling=DEFAULT_CEILING):
     """Partition of X into smooth pieces, one stratum per dimension.
 
     The cells of a compatible decomposition are analytic graphs and bands,
     so grouping those inside X by dimension yields embedded submanifolds.
     """
-    if env is not None:
-        X = resolve_named(X, env)
     decomp = compatible_decomposition([X], ceiling=ceiling)
     groups = {}
     for c in decomp.cells:
@@ -710,7 +697,7 @@ def _check_closed_bounded(decomp, graph, inside):
                 "outside the set")
 
 
-def triangulate(X: Formula, subsets=(), env=None, ceiling=DEFAULT_CEILING):
+def triangulate(X: Formula, subsets=(), ceiling=DEFAULT_CEILING):
     """Simplicial complex for a closed bounded set in one or two variables.
 
     Zero-cells become vertices; one-cells are subdivided at their sample
@@ -720,9 +707,6 @@ def triangulate(X: Formula, subsets=(), env=None, ceiling=DEFAULT_CEILING):
     "approximate" (midpoints of enclosures of an algebraic sample).
     Simplices inherit the labels of the originating cell.
     """
-    if env is not None:
-        X = resolve_named(X, env)
-        subsets = [resolve_named(s, env) for s in subsets]
     subsets = list(subsets)
     decomp = compatible_decomposition([X] + subsets, ceiling=ceiling)
     if decomp.level > 2:

@@ -21,7 +21,7 @@ from .formula import (
     Forall,
     Not,
     Or,
-    bound_vars,
+    instantiate,
     rename_vars,
     validate,
 )
@@ -183,21 +183,12 @@ def tree_to_formula(t: StructureTree, env):
     _check(t, env)
     counter = itertools.count()
 
-    def canon(ell):
-        return [f"_x{i + 1}" for i in range(ell)]
-
-    def instantiate(formula, ell):
-        tag = next(counter)
-        mapping = dict(zip(formula.free_vars(), canon(ell)))
-        for b in bound_vars(formula):
-            mapping[b] = f"_t{tag}b{len(mapping)}"
-        return rename_vars(formula, mapping)
-
     def go(node):
         if isinstance(node, TLeaf):
             formula, _ = env.lookup(node.name)
-            return instantiate(formula, len(formula.free_vars())), \
-                len(formula.free_vars())
+            ell = len(formula.free_vars())
+            canon = [f"_x{i + 1}" for i in range(ell)]
+            return instantiate(formula, canon, f"_t{next(counter)}b"), ell
         parts = [go(c) for c in node.children]
         if node.op in MULTI_OPS:
             ell = parts[0][1]

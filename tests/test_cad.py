@@ -20,7 +20,7 @@ from sharpcells.cad import (
     poly_sign_at,
     sample_in_cell,
 )
-from sharpcells.formula import And, Atom, Or, eval_qf, to_text
+from sharpcells.formula import And, Atom, Or, to_text
 from sharpcells.parser import parse_formula, parse_poly
 from sharpcells.poly import Polynomial
 from sharpcells.topology import connected_components
@@ -66,7 +66,7 @@ def test_memberships_match_eval_at_samples():
         (pt,) = sample_in_cell(decomp, cell, rng, count=1)
         point = dict(zip(decomp.variables, pt))
         for s, member in zip(sets, cell.memberships):
-            assert eval_qf(s, point) == member
+            assert decide(s, point) == member
 
 
 def test_locate_agrees_with_membership():
@@ -77,7 +77,7 @@ def test_locate_agrees_with_membership():
         p = [Fraction(rng.randrange(-200, 201), 100) for _ in range(2)]
         path = locate(decomp, p)
         cell = decomp.cell_at(path)
-        want = eval_qf(X, dict(zip(decomp.variables, p)))
+        want = decide(X, dict(zip(decomp.variables, p)))
         assert cell.memberships[0] == want
 
 
@@ -186,7 +186,7 @@ def test_shifted_hyperbola_needs_no_extra_section():
 
 def assert_sign_invariant(X, variables, seed, count=2):
     """Every input polynomial keeps the sign of the cell sample at random
-    points of the cell, and the membership agrees with eval_qf there."""
+    points of the cell, and the membership agrees with decide there."""
     decomp = compatible_decomposition([X], variables)
     polys = [a.poly.extend(decomp.variables) for a in X.atoms()]
     rng = random.Random(seed)
@@ -195,7 +195,7 @@ def assert_sign_invariant(X, variables, seed, count=2):
         for pt in [cell.coords] + sample_in_cell(decomp, cell, rng, count):
             assert [poly_sign_at(p, pt) for p in polys] == signs
             point = dict(zip(decomp.variables, pt))
-            assert cell.memberships[0] == eval_qf(X, point)
+            assert cell.memberships[0] == decide(X, point)
 
 
 @st.composite

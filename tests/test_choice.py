@@ -14,7 +14,7 @@ from sharpcells.choice import (
     choice_to_json,
     region_formulas,
 )
-from sharpcells.formula import bound_vars, eval_qf, subs_rationals
+from sharpcells.formula import bound_vars
 from sharpcells.parser import parse_formula
 
 
@@ -63,6 +63,26 @@ def test_algebraic_landmark_stays_exact():
     assert (shifted * shifted).as_fraction() == 2  # g = sqrt(2) + 1
 
 
+def test_two_algebraic_landmarks():
+    # -sqrt(2) and sqrt(2) are roots in two fields; their midpoint is exact
+    fn = choice_1d(parse_formula("x^2 - 2 < 0"), fiber_vars=["x"])
+    coords, cases = fn.evaluate([])
+    assert cases == ["D"] and coords[0].as_fraction() == 0
+    fn = choice_1d(parse_formula("(x - 1)^2 - l^2 - 1 < 0"),
+                   fiber_vars=["x"])
+    coords, cases = fn.evaluate([Fraction(1)])
+    assert cases == ["D"] and coords[0].as_fraction() == 1
+    fn = choice(parse_formula("x^2 + y^2 - l^2 - 1 < 0"), 2,
+                fiber_vars=["x", "y"])
+    coords, cases = fn.evaluate([Fraction(1)])
+    assert cases == ["D", "D"]
+    assert [c.as_fraction() for c in coords] == [0, 0]
+    total = parse_formula("x^2 + y^2 - l^2 - 1 < 0")
+    for lam in map(Fraction, (-2, 1, 5)):
+        coords, _ = fn.evaluate([lam])
+        assert decide(total, {"l": lam, "x": coords[0], "y": coords[1]})
+
+
 def test_empty_fiber_detected():
     with pytest.raises(ChoiceError):
         fn = choice_1d(parse_formula("(x - l > 0) and (l - x > 0)"),
@@ -97,8 +117,7 @@ def test_membership_on_random_parameters():
     for _ in range(50):
         lam = Fraction(rng.randrange(-300, 301), 100)
         (g,), _ = fn.evaluate([lam])
-        fixed = subs_rationals(total, {"l": lam})
-        assert eval_qf(fixed, {"x": g.as_fraction()})
+        assert decide(total, {"l": lam, "x": g})
 
 
 def test_region_formulas_partition():

@@ -1,12 +1,17 @@
 """Command line front end: subcommands, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
 import pytest
 
 from sharpcells.cli import main
+
+ROOT = Path(__file__).parents[1]
 
 
 @pytest.fixture
@@ -20,6 +25,10 @@ def run(argv, capsys):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def schema(name):
+    return json.loads((ROOT / "schemas" / f"{name}.v1.schema.json").read_text())
 
 
 def test_parse_and_fdinfo(circle, capsys):
@@ -80,9 +89,7 @@ def test_components_of_a_sphere(tmp_path, capsys):
     assert run(["components", str(f), "--json", a], capsys)[0] == 0
     assert run(["components", str(f), "--json", b], capsys)[0] == 0
     assert open(a, "rb").read() == open(b, "rb").read()
-    schema = json.loads((Path(__file__).parents[1] / "schemas"
-                         / "components.v1.schema.json").read_text())
-    jsonschema.validate(json.load(open(a)), schema)
+    jsonschema.validate(json.load(open(a)), schema("components"))
 
 
 def test_nullified_fibre_is_exit_code_2(tmp_path, capsys):
@@ -168,3 +175,75 @@ def test_triangulate_writes_off(tmp_path, capsys):
     code, out, _ = run(["triangulate", str(f), "--off", off], capsys)
     assert code == 0
     assert open(off).read().startswith("OFF")
+
+
+def test_choice_on_two_algebraic_landmarks(tmp_path, capsys):
+    # the landmarks -sqrt(2) and sqrt(2) are roots in two distinct fields
+    f = tmp_path / "band.fml"
+    f.write_text("x^2 - 2 < 0")
+    dest = str(tmp_path / "out.json")
+    code, out, _ = run(["choice", str(f), "--json", dest], capsys)
+    assert code == 0 and "fiber: x" in out
+    jsonschema.validate(json.load(open(dest)), schema("choice"))
+
+
+TREE_INPUT = {
+    "tree": {"version": 1, "slanted": False,
+             "root": {"kind": "node", "op": "project_last",
+                      "children": [{"kind": "leaf", "name": "sq"}]}},
+    "leaves": {"sq": {"formula": "exists t. t^2 - x - y = 0", "fd": [3, 2]}},
+}
+
+REDUCTION_INPUT = {
+    "system": "Sharp",
+    "witness": {"version": 1, "a": {"1": 1, "2": 2},
+                "polys": {"1": ["0", "2"], "2": ["0", "2"]}},
+    "corpus": [{"source": [1, 2],
+                "derivation": {"kind": "node", "op": "union", "children": [
+                    {"kind": "leaf", "name": "a", "fd": [1, 1]},
+                    {"kind": "leaf", "name": "b", "fd": [1, 1]}]}}],
+}
+
+# subcommand, its arguments (input file names are written below), schema,
+# and the key of the schema's document inside the output (None: all of it)
+SCHEMA_CASES = [
+    ("cad", ["circle.fml", "--stats"], "decomposition", None),
+    ("components", ["circle.fml"], "components", None),
+    ("star", ["circle.fml"], "star", None),
+    ("triangulate", ["disk.fml", "circle.fml"], "complex", "complex"),
+    ("choice", ["two.fml", "--ell", "2", "--fiber", "x,y", "--at", "1"],
+     "choice", None),
+    ("tree", ["tree.json"], "tree", None),
+    ("reduce-check", ["reduction.json"], "reduction", None),
+]
+
+
+@pytest.mark.parametrize("command,args,name,key", SCHEMA_CASES,
+                         ids=[c[0] for c in SCHEMA_CASES])
+def test_json_matches_its_schema(command, args, name, key, tmp_path,
+                                 capsys):
+    inputs = {
+        "circle.fml": "x^2 + y^2 - 1 = 0",
+        "disk.fml": "not (x^2 + y^2 - 1 > 0)",
+        "two.fml": "x^2 + y^2 - l^2 - 1 < 0",
+        "tree.json": json.dumps(TREE_INPUT),
+        "reduction.json": json.dumps(REDUCTION_INPUT),
+    }
+    for fname, text in inputs.items():
+        (tmp_path / fname).write_text(text)
+    argv = [str(tmp_path / a) if a in inputs else a for a in args]
+    dest = str(tmp_path / "out.json")
+    code, _, _ = run([command, *argv, "--json", dest], capsys)
+    assert code == 0
+    doc = json.load(open(dest))
+    jsonschema.validate(doc if key is None else doc[key], schema(name))
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in
+                                        (ROOT / "demos").glob("*.py")))
+def test_demo_runs(demo):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr

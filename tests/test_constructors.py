@@ -15,7 +15,7 @@ from sharpcells.constructors import (
     rescale_to_unit,
     unrescale_point,
 )
-from sharpcells.formula import eval_qf, is_quantifier_free
+from sharpcells.formula import is_quantifier_free
 from sharpcells.parser import parse_formula
 
 
@@ -71,11 +71,11 @@ def test_diagonal_formulas():
     assert len(near.free_vars()) == 4
     pt = {v: x for v, x in zip(near.free_vars(),
                                map(Fraction, [3, 1, 3, 2]))}
-    assert eval_qf(near, pt)       # first coords agree
-    assert not eval_qf(full, pt)   # second coords differ
+    assert decide(near, pt)       # first coords agree
+    assert not decide(full, pt)   # second coords differ
     pt2 = {v: x for v, x in zip(near.free_vars(),
                                 map(Fraction, [3, 1, 3, 1]))}
-    assert eval_qf(full, pt2)
+    assert decide(full, pt2)
 
 
 def test_rescale_round_trip_membership():
@@ -86,8 +86,8 @@ def test_rescale_round_trip_membership():
     for _ in range(40):
         u = Fraction(rng.randrange(1, 100), 100)
         (x,) = unrescale_point([u])
-        inside = eval_qf(X, {"x": x})
-        assert eval_qf(boxed, {"x": u}) == inside
+        inside = decide(X, {"x": x})
+        assert decide(boxed, {"x": u}) == inside
         hits += inside
     assert hits > 0
 
@@ -98,8 +98,8 @@ def test_rescale_even_denominator_powers():
     boxed = rescale_to_unit(X)
     (x,) = unrescale_point([Fraction(9, 10)])
     assert x > 2  # 0.9 maps far to the right
-    assert eval_qf(boxed, {"x": Fraction(9, 10)})
-    assert not eval_qf(boxed, {"x": Fraction(1, 10)})
+    assert decide(boxed, {"x": Fraction(9, 10)})
+    assert not decide(boxed, {"x": Fraction(1, 10)})
 
 
 def test_unrescale_domain_check():

@@ -4,14 +4,15 @@ from fractions import Fraction
 
 import pytest
 
+from sharpcells.cad import decide
 from sharpcells.fd import FDPair, atom_fd, fd_of_formula, pformat_of_formula
 from sharpcells.formula import (
     Environment,
     FormulaError,
-    eval_qf,
+    bound_vars,
+    instantiate,
     is_quantifier_free,
     resolve_named,
-    subs_rationals,
     to_text,
     validate,
 )
@@ -58,20 +59,16 @@ def test_fdpair_partial_order():
 
 
 def test_eval_qf():
+    # quantifier-free formulas are evaluated by decide, the one evaluator
     psi = parse_formula("(x^2 + y^2 - 1 < 0) or (x - 1 = 0)")
-    assert eval_qf(psi, {"x": Fraction(0), "y": Fraction(0)})
-    assert eval_qf(psi, {"x": Fraction(1), "y": Fraction(5)})
-    assert not eval_qf(psi, {"x": Fraction(2), "y": Fraction(0)})
+    assert decide(psi, {"x": Fraction(0), "y": Fraction(0)})
+    assert decide(psi, {"x": Fraction(1), "y": Fraction(5)})
+    assert not decide(psi, {"x": Fraction(2), "y": Fraction(0)})
+    ray = parse_formula("x - l > 0")
+    assert decide(ray, {"l": Fraction(3, 2), "x": Fraction(2)})
+    assert not decide(ray, {"l": Fraction(3, 2), "x": Fraction(1)})
     assert is_quantifier_free(psi)
     assert not is_quantifier_free(parse_formula("exists x. x > 0"))
-
-
-def test_subs_rationals():
-    psi = parse_formula("x - l > 0")
-    fixed = subs_rationals(psi, {"l": Fraction(3, 2)})
-    assert fixed.free_vars() == ("x",)
-    assert eval_qf(fixed, {"x": Fraction(2)})
-    assert not eval_qf(fixed, {"x": Fraction(1)})
 
 
 def test_environment_and_named_fd():
@@ -82,9 +79,35 @@ def test_environment_and_named_fd():
     assert fd_of_formula(psi, env).as_tuple() == (2, 3)
     inlined = resolve_named(psi, env)
     assert is_quantifier_free(inlined)
-    assert eval_qf(inlined, {"u": Fraction(1, 2), "v": Fraction(0)})
+    assert decide(inlined, {"u": Fraction(1, 2), "v": Fraction(0)})
     with pytest.raises(FormulaError):
         fd_of_formula(parse_formula("@nope(x)"), env)
+
+
+def test_each_named_occurrence_binds_its_own_names():
+    env = Environment()
+    sq = parse_formula("exists t. t^2 - x = 0")
+    env.register("sq", sq, fd_of_formula(sq))
+    inlined = validate(resolve_named(parse_formula("@sq(x) and @sq(y)"), env))
+    names = bound_vars(inlined)
+    assert len(names) == len(set(names)) == 2
+    assert not decide(inlined, {"x": Fraction(1), "y": Fraction(-1)})
+    assert decide(inlined, {"x": Fraction(1), "y": Fraction(2)})
+
+
+def test_instantiate_renames_and_freshens():
+    psi = parse_formula(
+        "(exists t. (t - x > 0)) and (forall s. ((s^2 - y > 0) or (x < 0)))")
+    out = instantiate(psi, ["u", "v"], "_b")
+    assert out.free_vars() == ("u", "v")
+    assert bound_vars(out) == ["_b0", "_b1"]
+    validate(out)
+    # a partial mapping keeps the other free variables
+    assert instantiate(psi, {"x": "w"}, "_b").free_vars() == ("w", "y")
+    with pytest.raises(FormulaError):
+        instantiate(psi, ["u"], "_b")           # arity mismatch
+    with pytest.raises(FormulaError):
+        instantiate(psi, ["_b1", "v"], "_b")    # a fresh name is free
 
 
 def test_environment_rejects_conflicting_registration():

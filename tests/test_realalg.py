@@ -19,6 +19,7 @@ from sharpcells.realalg import (
     count_roots,
     isolate_roots,
     num_in,
+    num_join,
     peval_frac,
     pgcd,
     rational_between,
@@ -195,6 +196,30 @@ def test_extension_shrinks_its_own_copy_of_the_root():
     assert K.root.hi - K.root.lo <= Fraction(1, 2**200)
     assert (r.lo, r.hi) == (lo, hi)
     assert len(r.sqf) == 5
+
+
+def test_num_join_of_two_fields():
+    minus, plus = isolate_roots(QQ, upoly([-2, 0, 1]))
+    a = Num(plus.as_extension(), plus.as_extension().gen)     # sqrt2
+    b = Num(minus.as_extension(), minus.as_extension().gen)   # -sqrt2
+    with pytest.raises(RealAlgebraError):
+        num_in(b.field, a)
+    a2, b2 = num_join(a, b)
+    # a conjugate is found in the other field, which is not extended
+    assert a2.field is b.field and b2.field is b.field
+    assert (a2 + b2).as_fraction() == 0
+    assert (a2 - b2).sign() == 1
+    (cbrt,) = isolate_roots(QQ, upoly([-2, 0, 0, 1]))
+    c = Num(cbrt.as_extension(), cbrt.as_extension().gen)     # 2^(1/3)
+    c2, a3 = num_join(c, a)
+    # the generator of 2^(1/3) is adjoined on top of QQ(sqrt2)
+    assert c2.field.base is a.field and a3.field is c2.field
+    s = c2 + a3
+    assert ((s - a3) * (s - a3) * (s - a3)).as_fraction() == 2
+    assert 2.67 < float(s) < 2.68
+    r = Num.rational(Fraction(1, 3))
+    assert [n.field for n in num_join(r, a)] == [a.field, a.field]
+    assert [n.field for n in num_join(a, r)] == [a.field, a.field]
 
 
 @st.composite

@@ -16,7 +16,7 @@ from hypothesis import assume, given, settings
 
 import sharpcells
 from sharpcells.cad import compatible_decomposition, decide
-from sharpcells.formula import And, Atom, eval_qf
+from sharpcells.formula import And, Atom
 from sharpcells.parser import parse_formula, parse_poly
 from sharpcells.poly import Polynomial
 from sharpcells.topology import (
@@ -264,7 +264,7 @@ def test_triangulation_labels_approximate_vertices(text, approximate):
     assert ("approximate" in kinds.values()) == approximate
     for i, v in enumerate(K.vertices):
         if kinds[str(i)] == "exact":  # an exact sample lies in the set
-            assert eval_qf(X, dict(zip(("x", "y"), v)))
+            assert decide(X, dict(zip(("x", "y"), v)))
 
 
 def test_boundary_rank_on_handmade_complex():
