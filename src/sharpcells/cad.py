@@ -14,7 +14,7 @@ import itertools
 import math
 import operator
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 
 from .formula import (
     And,
@@ -42,7 +42,9 @@ from .realalg import (
     isolate_roots,
     isolate_squarefree,
     num_in,
+    num_join,
     pdeg,
+    peval,
     ptrim,
     rational_between,
     sort_roots,
@@ -360,11 +362,14 @@ def restrict(field, poly, values, free=-1):
     (elements of field)."""
     free %= len(poly.variables)
     out = [field.zero] * (poly.degree_in(poly.variables[free]) + 1)
+    powers = [[field.one] for _ in values]  # powers[j][e] = values[j]^e
     for expo, c in poly.terms.items():
         term = field.from_fraction(c)
-        for e, v in zip(expo[:free] + expo[free + 1:], values):
-            for _ in range(e):
-                term = field.mul(term, v)
+        for e, v, pw in zip(expo[:free] + expo[free + 1:], values, powers):
+            if e:
+                while len(pw) <= e:
+                    pw.append(field.mul(pw[-1], v))
+                term = field.mul(term, pw[e])
         out[expo[free]] = field.add(out[expo[free]], term)
     return ptrim(field, out)
 
@@ -562,16 +567,50 @@ def locate(decomp, point):
 
 
 def _num_cmp(a, b):
-    field = _deepest_field([a, b])
-    return (num_in(field, a) - num_in(field, b)).sign()
+    a, b = _in_one_field([a, b])
+    return (a - b).sign()
 
 
 def poly_sign_at(poly, coords):
-    """Exact sign of a polynomial at a coordinate list of Num."""
-    value = poly.eval(coords)
-    if isinstance(value, (int, Fraction)):
-        return (value > 0) - (value < 0)
-    return value.sign()
+    """Exact sign of a polynomial at a coordinate list of Num.
+
+    At a rational point this is the sign of one integer sum.  Otherwise the
+    visibly rational coordinates are substituted first, the polynomial is
+    restricted to its last algebraic coordinate in the field of the others,
+    and evaluated there by Horner's rule.
+    """
+    if len(coords) != len(poly.variables):
+        raise ValueError("point dimension mismatch")
+    values = [c.as_fraction() for c in coords]
+    if None not in values:
+        return _rational_sign(poly, values)
+    for name, q in zip(poly.variables, values):
+        if q is not None:
+            poly = poly.subs_var(name, q)
+    algebraic = [c for c, q in zip(coords, values) if q is None]
+    field = _deepest_field(algebraic)
+    data = [num_in(field, c).data for c in algebraic]
+    up = restrict(field, poly, data[:-1])
+    return field.sign(peval(field, up, data[-1]))
+
+
+def _rational_sign(poly, point):
+    """Sign of poly at a point of Fractions: the sign of the integer sum
+    with every coefficient denominator, and each coordinate's denominator
+    to its degree, cleared."""
+    terms = poly.terms
+    if not terms:
+        return 0
+    denom = math.lcm(*[c.denominator for c in terms.values()])
+    powers = []  # powers[i][e] = a^e b^(top - e) for coordinate i = a/b
+    for top, q in zip(map(max, zip(*terms)), point):
+        a, b = q.numerator, q.denominator
+        powers.append([a ** e * b ** (top - e) for e in range(top + 1)])
+    total = 0
+    for expo, c in terms.items():
+        total += (c.numerator * (denom // c.denominator)
+                  * math.prod(map(operator.getitem, powers, expo)))
+    return (total > 0) - (total < 0)
 
 
 # ---------------------------------------------------------------------------
@@ -714,10 +753,34 @@ def _as_num(value):
     return Num.rational(value)
 
 
+def _in_tower(field, top):
+    while top is not None:
+        if top is field:
+            return True
+        top = top.base
+    return False
+
+
+def _in_one_field(values):
+    """Rationals and Nums as Nums of one field: the deepest operand's when
+    every other field lies in its tower, and otherwise that field with the
+    other towers joined on through realalg.num_join."""
+    nums = [_as_num(v) for v in values]
+    field = _deepest_field(nums)
+    if all(_in_tower(n.field, field) for n in nums):
+        return [num_in(field, n) for n in nums]
+    # num_join builds on the deeper operand's field, and top's field is
+    # never shallower than n's, so every join extends the fields before it
+    top = Num(field, field.zero)
+    joined = []
+    for n in nums:
+        n, top = num_join(n, top)
+        joined.append(n)
+    return [num_in(top.field, n) for n in joined]
+
+
 def _eval_atom(atom, point):
-    vals = [_as_num(point[v]) for v in atom.poly.variables]
-    field = _deepest_field(vals)
-    coerced = [num_in(field, v) for v in vals]
+    coerced = _in_one_field(point[v] for v in atom.poly.variables)
     s = poly_sign_at(atom.poly, coerced)
     if atom.sign == "=":
         return s == 0
@@ -766,14 +829,44 @@ def _decide(psi, point, ceiling):
 def _test_points(psi, point, ceiling):
     """Candidate values for psi.var covering every relevant sign condition.
 
-    Eliminates deeper quantified variables by projection, then isolates the
-    roots of the surviving polynomials in psi.var at the current (possibly
-    algebraic) assignment; yields each root and a rational in each gap.
+    Isolates the roots of psi's projection basis (see _block_basis) in
+    psi.var at the current (possibly algebraic) assignment; yields each
+    root and a rational in each gap.
+    """
+    if len(bound_vars(psi)) > ceiling:
+        raise CeilingError("quantifier depth exceeds ceiling")
+    names = psi.free_vars()
+    assigned, basis = _block_basis(psi, tuple(v for v in point if v in names))
+    if basis is None:
+        yield Num.rational(0)
+        return
+    coords = _in_one_field(point[v] for v in assigned)
+    field = coords[0].field if coords else QQ
+    stack = build_stack(field, coords, basis)
+    samples = stack.sector_samples()
+    yield Num.rational(samples[0])
+    for sec, sample in zip(stack.sections, samples[1:]):
+        yield sec.value
+        yield Num.rational(sample)
+
+
+# Quantifier blocks projected once per distinct (formula, assigned names),
+# while among the most recently used; decide meets the same block at every
+# point of an outer quantifier or of a decomposition.
+_BLOCK_MEMO_SIZE = 512
+
+
+@lru_cache(maxsize=_BLOCK_MEMO_SIZE)
+def _block_basis(psi, names):
+    """The names, in order, of those given that psi's body uses, and the
+    basis of psi's body projected onto them and psi.var, extended to those
+    variables; the basis is None when the body does not use psi.var.
+
+    Deeper quantified variables are eliminated by projection.  Results are
+    tuples, shared by every caller.
     """
     var = psi.var
     inner_bound = bound_vars(psi.child)
-    if len(inner_bound) + 1 > ceiling:
-        raise CeilingError("quantifier depth exceeds ceiling")
     polys = []
     for atom in psi.child.atoms():
         if not isinstance(atom, Atom):
@@ -786,9 +879,8 @@ def _test_points(psi, point, ceiling):
             if v not in order:
                 order.append(v)
     if var not in order:
-        yield Num.rational(0)
-        return
-    full = [v for v in point if v in order]
+        return (), None
+    full = [v for v in names if v in order]
     full.append(var)
     full += [v for v in inner_bound if v in order]
     stray = [v for v in order if v not in full]
@@ -796,17 +888,9 @@ def _test_points(psi, point, ceiling):
         raise CADError(f"stray variables {stray} in quantified body")
     keep = full.index(var) + 1
     work = _eliminate(polys, full, keep)
-    full = full[:keep]
-    assigned = full[:-1]
-    field = _deepest_field(_as_num(point[v]) for v in assigned)
-    coords = [num_in(field, _as_num(point[v])) for v in assigned]
-    basis = [p.extend(tuple(full)) for p in work if not p.is_constant()]
-    stack = build_stack(field, coords, basis)
-    samples = stack.sector_samples()
-    yield Num.rational(samples[0])
-    for sec, sample in zip(stack.sections, samples[1:]):
-        yield sec.value
-        yield Num.rational(sample)
+    full = tuple(full[:keep])
+    return full[:-1], tuple(p.extend(full) for p in work
+                            if not p.is_constant())
 
 
 # ---------------------------------------------------------------------------

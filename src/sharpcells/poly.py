@@ -57,6 +57,16 @@ class Polynomial:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _clean(cls, variables, terms):
+        """A polynomial on terms that are already clean: int exponent tuples
+        as long as the variable tuple, and nonzero Fraction coefficients.
+        Unlike the constructor, this checks and copies nothing."""
+        p = object.__new__(cls)
+        p.variables = variables
+        p.terms = terms
+        return p
+
+    @classmethod
     def constant(cls, c, variables):
         variables = tuple(variables)
         c = Fraction(c)
@@ -124,7 +134,8 @@ class Polynomial:
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.variables, {e: -c for e, c in self.terms.items()})
+        return Polynomial._clean(self.variables,
+                                 {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -138,8 +149,9 @@ class Polynomial:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, Fraction(0)) + c1 * c2
-        return Polynomial(self.variables, terms)
+                terms[e] = terms.get(e, 0) + c1 * c2
+        return Polynomial._clean(self.variables,
+                                 {e: c for e, c in terms.items() if c})
 
     __rmul__ = __mul__
 
@@ -156,23 +168,6 @@ class Polynomial:
         return out
 
     # -- evaluation and substitution ---------------------------------------
-
-    def eval(self, point):
-        """Evaluate at a point given as a sequence of field elements.
-
-        Works for Fractions and for any values supporting ring arithmetic
-        with Fractions (e.g. exact algebraic numbers).
-        """
-        if len(point) != len(self.variables):
-            raise ValueError("point dimension mismatch")
-        total = 0
-        for expo, coeff in self.terms.items():
-            term = coeff
-            for v, e in zip(point, expo):
-                for _ in range(e):
-                    term = term * v
-            total = total + term
-        return total
 
     def subs_var(self, name, value):
         """Substitute one variable by a rational, dropping it from the list."""
@@ -201,13 +196,12 @@ class Polynomial:
             for pos, exp in zip(index, expo):
                 e[pos] = exp
             terms[tuple(e)] = coeff
-        return Polynomial(variables, terms)
+        return Polynomial._clean(variables, terms)
 
     def rename(self, mapping):
         """Rename variables via a dict, keeping order."""
-        return Polynomial(
-            tuple(mapping.get(v, v) for v in self.variables), self.terms
-        )
+        return Polynomial._clean(
+            tuple(mapping.get(v, v) for v in self.variables), self.terms)
 
     def coeffs_in_last(self):
         """Coefficients w.r.t. the last variable, as polynomials in the rest.
@@ -221,7 +215,7 @@ class Polynomial:
         buckets = [dict() for _ in range(d + 1)]
         for expo, coeff in self.terms.items():
             buckets[expo[-1]][expo[:-1]] = coeff
-        return [Polynomial(rest, b) for b in buckets]
+        return [Polynomial._clean(rest, b) for b in buckets]
 
     def derivative(self, name):
         i = self.variables.index(name)
@@ -245,8 +239,8 @@ class Polynomial:
             return self
         ints = primitive_integers(self.terms.values())
         sign = 1 if self.terms[max(self.terms)] > 0 else -1
-        return Polynomial(self.variables,
-                          {e: sign * c for e, c in zip(self.terms, ints)})
+        return Polynomial._clean(self.variables, {
+            e: Fraction(sign * c) for e, c in zip(self.terms, ints)})
 
     # -- printing ----------------------------------------------------------
 
@@ -336,6 +330,11 @@ def _terms(f, n):
     return tuple((e, int(c)) for e, c in dmp_to_dict(f, n - 1).items())
 
 
+def _polynomial(variables, terms):
+    """The polynomial in variables with these (exponents, int) terms."""
+    return Polynomial._clean(variables, {e: Fraction(c) for e, c in terms})
+
+
 def _eliminating(var, *polys):
     """The variables other than var, and the keys of polys with var moved
     to the front."""
@@ -360,7 +359,7 @@ def factor(p: Polynomial):
     integer-primitive with positive leading coefficient."""
     if p.is_constant():
         return []
-    return [Polynomial(p.variables, dict(terms)).primitive()
+    return [_polynomial(p.variables, terms).primitive()
             for terms in _memo(_factor, _key(p, p.variables),
                                len(p.variables))]
 
@@ -419,10 +418,10 @@ def _resultant(f, g, n):
 def discriminant(p: Polynomial, var):
     """Discriminant of p with respect to var, in the remaining variables."""
     rest, (f,) = _eliminating(var, p)
-    return Polynomial(rest, dict(_memo(_discriminant, f, len(rest) + 1)))
+    return _polynomial(rest, _memo(_discriminant, f, len(rest) + 1))
 
 
 def resultant(p: Polynomial, q: Polynomial, var):
     """Resultant of p and q with respect to var, in the remaining variables."""
     rest, (f, g) = _eliminating(var, p, q)
-    return Polynomial(rest, dict(_memo(_resultant, f, g, len(rest) + 1)))
+    return _polynomial(rest, _memo(_resultant, f, g, len(rest) + 1))

@@ -79,9 +79,11 @@ def pdivmod(field, p, q):
     if pzero(q):
         raise ZeroDivisionError("polynomial division by zero")
     q = ptrim(field, q)
+    rem = ptrim(field, list(p))
+    if len(rem) < len(q):  # nothing to divide: skip inverting the lead
+        return [], rem
     inv_lc = field.inv(q[-1])
-    rem = list(p)
-    quo = [field.zero] * max(len(p) - len(q) + 1, 0)
+    quo = [field.zero] * (len(rem) - len(q) + 1)
     while len(rem) >= len(q):
         rem = ptrim(field, rem)
         if len(rem) < len(q):
@@ -602,7 +604,7 @@ class ExtensionField:
 
 
 class Num:
-    """A field element with operator sugar, usable in Polynomial.eval."""
+    """A field element with operator sugar."""
 
     __slots__ = ("field", "data")
 

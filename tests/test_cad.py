@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from sharpcells.cad import (
     CADError,
     CeilingError,
+    _test_points,
     cad,
     cell_formula,
     compatible_decomposition,
@@ -20,9 +21,10 @@ from sharpcells.cad import (
     poly_sign_at,
     sample_in_cell,
 )
-from sharpcells.formula import And, Atom, Or, to_text
+from sharpcells.formula import And, Atom, Exists, NamedAtom, Or, to_text
 from sharpcells.parser import parse_formula, parse_poly
 from sharpcells.poly import Polynomial
+from sharpcells.realalg import QQ, Num, isolate_roots
 from sharpcells.topology import connected_components
 
 
@@ -238,3 +240,155 @@ def test_nullified_chains_stay_sign_invariant(text):
     X = parse_formula(text)
     variables = ("x", "y", "z")[:len(X.free_vars())]
     assert_sign_invariant(X, variables, seed=3, count=3)
+
+
+# ---------------------------------------------------------------------------
+# the sign evaluator against term-by-term Num arithmetic
+# ---------------------------------------------------------------------------
+
+
+def reference_sign(poly, coords):
+    """The sign of poly at coords by term-by-term Num arithmetic: one
+    multiplication per unit of exponent, as the library once evaluated."""
+    total = 0
+    for expo, coeff in poly.terms.items():
+        term = coeff
+        for v, e in zip(coords, expo):
+            for _ in range(e):
+                term = term * v
+        total = total + term
+    if isinstance(total, (int, Fraction)):
+        return (total > 0) - (total < 0)
+    return total.sign()
+
+
+def cell_points(X, variables, seed):
+    """The cell samples of a decomposition compatible with X, sections
+    included, and one random point of each cell."""
+    decomp = compatible_decomposition([X], variables)
+    rng = random.Random(seed)
+    points = []
+    for cell in decomp.cells:
+        points.append(cell.coords)
+        points.extend(sample_in_cell(decomp, cell, rng, count=1))
+    return decomp, points
+
+
+def assert_signs_match_reference(X, variables, extra, seed):
+    decomp, points = cell_points(X, variables, seed)
+    polys = [a.poly.extend(variables) for a in X.atoms()] + list(extra)
+    for pt in points:
+        for p in polys:
+            assert poly_sign_at(p, pt) == reference_sign(p, pt)
+    return decomp, points
+
+
+def random_polys(variables, top):
+    term = st.tuples(*[st.integers(0, top)] * len(variables))
+    coeff = st.fractions(min_value=-4, max_value=4,
+                         max_denominator=3).filter(bool)
+    return st.lists(st.dictionaries(term, coeff, max_size=4).map(
+        lambda terms: Polynomial(variables, terms)), max_size=3)
+
+
+@settings(max_examples=10, deadline=None)
+@given(sign_conditions(("x",), 3), random_polys(("x",), 3),
+       st.integers(0, 2**16))
+def test_line_signs_match_reference(X, extra, seed):
+    assert_signs_match_reference(X, ("x",), extra, seed)
+
+
+@settings(max_examples=15, deadline=None)
+@given(sign_conditions(("x", "y"), 2), random_polys(("x", "y"), 2),
+       st.integers(0, 2**16))
+def test_plane_signs_match_reference(X, extra, seed):
+    assert_signs_match_reference(X, ("x", "y"), extra, seed)
+
+
+@settings(max_examples=5, deadline=None)
+@given(sign_conditions(("x", "y", "z"), 1), random_polys(("x", "y", "z"), 2),
+       st.integers(0, 2**16))
+def test_space_signs_match_reference(X, extra, seed):
+    assert_signs_match_reference(X, ("x", "y", "z"), extra, seed)
+
+
+def test_signs_match_reference_at_deep_and_mixed_points():
+    # x = +-sqrt2 and y = +-2^(1/4) there: depth-2 samples, section
+    # samples where y^2 - x vanishes, and points mixing a rational x with
+    # an algebraic y or an algebraic x with a rational y
+    X = parse_formula("(x^2 - 2 = 0) or (y^2 - x = 0)")
+    extra = [parse_poly(t, ("x", "y")) for t in
+             ("x^3*y - 2*y^2 + 1/3", "x*y^2 - 2*x", "y^4 - 2")]
+    decomp, points = assert_signs_match_reference(X, ("x", "y"), extra, 5)
+    depths = {pt[-1].field.depth() for pt in points}
+    assert depths == {0, 1, 2}
+    kinds = {tuple(c.as_fraction() is None for c in pt) for pt in points}
+    assert {(False, True), (True, False), (True, True)} <= kinds
+    on_curve = [pt for pt in points if pt[-1].field.depth() == 2]
+    assert {poly_sign_at(extra[2], pt) for pt in on_curve} == {0}
+
+
+# ---------------------------------------------------------------------------
+# the quantifier-block memo
+# ---------------------------------------------------------------------------
+
+
+def test_block_memo_answers_do_not_depend_on_key_order():
+    psi = parse_formula("exists t. ((t^2 - x*t + y = 0) and (t - l > 0))")
+    rng = random.Random(3)
+    for _ in range(12):
+        values = {v: Fraction(rng.randrange(-12, 13), 4) for v in "xyl"}
+        answers = {decide(psi, {v: values[v] for v in order})
+                   for order in ("xyl", "lyx", "ylx")}
+        assert len(answers) == 1
+    # the discriminant says when the quadratic has a real root
+    disc = parse_formula("exists t. (t^2 - x*t + y = 0)")
+    for x in range(-3, 4):
+        for y in range(-3, 4):
+            want = x * x - 4 * y >= 0
+            assert decide(disc, {"x": Fraction(x), "y": Fraction(y)}) == want
+            assert decide(disc, {"y": Fraction(y), "x": Fraction(x)}) == want
+
+
+def test_block_memo_keeps_the_ceiling_check():
+    psi = parse_formula("exists t. exists s. (t^2 + s^2 - x < 0)")
+    assert decide(psi, {"x": Fraction(1)})
+    assert decide(psi, {"x": Fraction(1)})  # a memo hit
+    with pytest.raises(CeilingError):
+        decide(psi, {"x": Fraction(1)}, ceiling=1)
+
+
+def test_block_memo_keeps_the_body_errors():
+    named = Exists("t", And([Atom(parse_poly("t - x", ("t", "x")), ">"),
+                             NamedAtom("S", ["t"])]))
+    plain = parse_formula("exists t. (t - x > 0)")
+    assert decide(plain, {"x": Fraction(0)})
+    for _ in range(2):  # errors are not remembered as answers
+        with pytest.raises(CADError, match="resolve named atoms"):
+            decide(named, {"x": Fraction(0)})
+    psi = parse_formula("exists t. (t^2 - x*t + y < 0)")
+    assert decide(psi, {"x": Fraction(3), "y": Fraction(1)})
+    for _ in range(2):
+        with pytest.raises(CADError, match="stray variables"):
+            list(_test_points(psi, {"x": Fraction(3)}, 3))
+
+
+# ---------------------------------------------------------------------------
+# points from unrelated field towers
+# ---------------------------------------------------------------------------
+
+
+def test_decide_joins_unrelated_towers():
+    minus, plus = isolate_roots(QQ, [Fraction(-2), Fraction(0), Fraction(1)])
+    a = Num(plus.as_extension(), plus.as_extension().gen)     # sqrt2
+    b = Num(minus.as_extension(), minus.as_extension().gen)   # -sqrt2
+    assert a.field is not b.field
+    point = {"x": a, "y": b}
+    assert decide(parse_formula("x + y = 0"), point)
+    assert not decide(parse_formula("x - y = 0"), point)
+    assert decide(parse_formula("x - y > 0"), point)
+    assert decide(parse_formula("exists z. (z - x - y = 0)"), point)
+    assert not decide(parse_formula("exists z. (z^2 + x*y = 0 and z > 0)"),
+                      {"x": a, "y": a})
+    assert decide(parse_formula("exists z. (z^2 + x*y = 0 and z > 0)"),
+                  point)

@@ -1,7 +1,11 @@
+from fractions import Fraction
+
 import pytest
 
+from sharpcells.cad import poly_sign_at
 from sharpcells.formula import And, Atom, Exists, FormulaError, Not, Or, to_text
 from sharpcells.parser import ParseError, parse_formula, parse_poly
+from sharpcells.realalg import Num
 
 
 def test_atom_roundtrip():
@@ -34,8 +38,11 @@ def test_parenthesized_polynomial_atom():
 
 def test_rational_coefficients():
     p = parse_poly("1/2*x^2 - 3/4")
-    from fractions import Fraction
-    assert p.eval([Fraction(2)]) == Fraction(5, 4)
+    assert p.terms == {(2,): Fraction(1, 2), (0,): Fraction(-3, 4)}
+    # p(2) = 5/4 exactly
+    two = [Num.rational(2)]
+    assert poly_sign_at(p - Fraction(5, 4), two) == 0
+    assert poly_sign_at(p, two) == 1
 
 
 def test_nested_structure():

@@ -20,7 +20,8 @@ from sympy.polys.factortools import dmp_factor_list, dup_factor_list
 from sympy.polys.sqfreetools import dup_sqf_part
 
 from sharpcells import poly
-from sharpcells.cad import project_polys
+from sharpcells.cad import _block_basis, cad, poly_sign_at, project_polys
+from sharpcells.formula import Atom, Exists
 from sharpcells.poly import (
     Polynomial,
     discriminant,
@@ -31,6 +32,7 @@ from sharpcells.poly import (
     squarefree_univariate,
 )
 from sharpcells.parser import parse_poly
+from sharpcells.realalg import Num
 
 VARS = ("x", "y", "z")
 
@@ -76,16 +78,19 @@ def test_ring_ops_match_sympy():
             assert ours == from_expr(theirs, VARS)
 
 
-def test_eval_matches_sympy():
+def test_sign_matches_sympy():
+    # poly_sign_at(p - v, point) == 0 says p(point) == v exactly
     rng = random.Random(5)
     syms = sp.symbols(VARS)
     for _ in range(20):
         p = random_poly(rng)
         point = [Fraction(rng.randrange(-6, 7), rng.randrange(1, 4))
                  for _ in VARS]
-        expected = to_expr(p).subs(
-            dict(zip(syms, [sp.Rational(c) for c in point])))
-        assert p.eval(point) == Fraction(sp.Rational(expected))
+        expected = Fraction(str(sp.Rational(to_expr(p).subs(
+            dict(zip(syms, [sp.Rational(c) for c in point]))))))
+        nums = [Num.rational(c) for c in point]
+        assert poly_sign_at(p - expected, nums) == 0
+        assert poly_sign_at(p, nums) == (expected > 0) - (expected < 0)
 
 
 def test_derivative_matches_sympy():
@@ -127,10 +132,10 @@ def test_extend_and_subs():
     p = parse_poly("x*y - 1", ("x", "y"))
     q = p.extend(("x", "y", "z"))
     assert q.variables == ("x", "y", "z")
-    assert q.eval([Fraction(2), Fraction(3), Fraction(99)]) == 5
+    assert poly_sign_at(q - 5, [Num.rational(c) for c in (2, 3, 99)]) == 0
     r = p.subs_var("y", Fraction(1, 2))
     assert r.variables == ("x",)
-    assert r.eval([Fraction(6)]) == 2
+    assert poly_sign_at(r - 2, [Num.rational(6)]) == 0
 
 
 def test_primitive_normalization():
@@ -138,6 +143,37 @@ def test_primitive_normalization():
     prim = p.primitive()
     assert prim == parse_poly("x^2 - 2*x", ("x",))
     assert (-p).primitive() == prim
+
+
+def assert_clean(p):
+    """The invariant every Polynomial keeps: int exponent tuples as long
+    as the variable tuple, and nonzero Fraction coefficients."""
+    for expo, c in p.terms.items():
+        assert type(expo) is tuple and len(expo) == len(p.variables)
+        assert all(type(e) is int for e in expo)
+        assert type(c) is Fraction and c != 0
+
+
+def test_internally_built_polynomials_are_clean():
+    # a product whose middle terms cancel keeps no zero coefficient
+    x, y = (Polynomial.var(v, ("x", "y")) for v in ("x", "y"))
+    assert (x + y) * (x - y) == parse_poly("x^2 - y^2", ("x", "y"))
+    rng = random.Random(17)
+    for _ in range(8):
+        p = random_poly(rng, nterms=3, maxdeg=2)
+        q = random_poly(rng, nterms=3, maxdeg=2)
+        built = [p * q, -p, p.extend(("w",) + VARS), p.rename({"x": "u"}),
+                 p.primitive(), discriminant(p, "z"), resultant(p, q, "z"),
+                 *p.coeffs_in_last(), *factor(p * q),
+                 *project_polys([p, q], VARS)]
+        decomp = cad([p.subs_var("z", 1)], VARS[:2])
+        for layer in decomp.layers():
+            built += layer.basis
+        psi = Exists("z", Atom(p, ">"))
+        _, basis = _block_basis(psi, ("x", "y"))
+        built += basis or []
+        for r in built:
+            assert_clean(r)
 
 
 # -- the dense ZZ boundary against sympy's expression API ---------------------

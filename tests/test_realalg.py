@@ -20,6 +20,7 @@ from sharpcells.realalg import (
     isolate_roots,
     num_in,
     num_join,
+    pdivmod,
     peval_frac,
     pgcd,
     rational_between,
@@ -111,6 +112,18 @@ def test_extension_field_arithmetic():
     assert lo * lo < 2 < hi * hi
     third = num_in(K, Fraction(1, 3))
     assert (sqrt2 * third * 3 - sqrt2).is_zero()
+
+
+def test_division_by_a_longer_polynomial_inverts_nothing(monkeypatch):
+    r = isolate_roots(QQ, upoly([-2, 0, 1]))[-1]
+    K = r.as_extension()
+    calls = []
+    monkeypatch.setattr(K, "inv", lambda a: calls.append(a))
+    p = [K.gen, K.one]                      # x + sqrt2
+    q = [K.one, K.zero, K.gen]              # sqrt2 x^2 + 1
+    assert pdivmod(K, p, q) == ([], p)
+    assert pdivmod(K, p + [K.zero], q) == ([], p)
+    assert calls == []
 
 
 def test_tower_of_extensions():
