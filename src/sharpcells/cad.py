@@ -534,16 +534,11 @@ def locate(decomp, point):
     layers = decomp.layers()
     if len(point) != decomp.level:
         raise CADError("point dimension mismatch")
-    field = QQ
     coords = []
     path = []
     for k, value in enumerate(point):
-        v = _as_num(value)
-        if v.field.depth() > field.depth():
-            field = v.field
-            coords = [num_in(field, x) for x in coords]
-        v = num_in(field, v)
-        stack = build_stack(field, coords, layers[k].basis)
+        *coords, v = _in_one_field(coords + [value])
+        stack = build_stack(v.field, coords, layers[k].basis)
         idx = 0
         landed = None
         for j, sec in enumerate(stack.sections):
@@ -556,12 +551,7 @@ def locate(decomp, point):
                 idx = 2 * j
                 break
             idx = 2 * j + 2
-        if landed is not None:
-            field = landed.field
-            coords = [num_in(field, x) for x in coords]
-            coords.append(landed)
-        else:
-            coords.append(v)
+        coords.append(v if landed is None else landed)
         path.append(idx)
     return tuple(path)
 

@@ -344,8 +344,17 @@ def _cmd_report(args):
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 3, a code of their own;
+    argparse gives its subparsers the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(3, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser():
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="sharpcells",
         description="format/degree analyses of semialgebraic sets")
     sub = top.add_subparsers(dest="command", required=True)

@@ -9,7 +9,10 @@ discriminants and resultants run on sympy's dense integer polynomials over
 ZZ; no sympy expression is ever built.  Their results are memoised on
 integer keys that hold no variable names, so the same polynomial under
 other names is factored once; the memo keeps the 1,024 most recently used
-answers of all six kernel functions together.
+answers of all six kernel functions together.  sympy is imported on the
+first memo miss, inside the kernel functions, so work that needs no
+algebra (parsing, format/degree, structure trees, reduction checks) never
+loads it.
 """
 
 from __future__ import annotations
@@ -17,17 +20,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-
-from sympy.polys.densebasic import dmp_from_dict, dmp_to_dict
-from sympy.polys.densetools import dup_primitive
-from sympy.polys.domains import ZZ
-from sympy.polys.euclidtools import (
-    dmp_discriminant,
-    dmp_resultant,
-    dup_gcd,
-)
-from sympy.polys.factortools import dmp_factor_list, dup_factor_list
-from sympy.polys.sqfreetools import dup_sqf_part
 
 
 class Polynomial:
@@ -285,7 +277,10 @@ class Polynomial:
 # polynomial's sorted (exponents, integer) terms in the kernel's variable
 # order.  Keys and answers hold no variable names, so the fresh bound names a
 # quantified formula is instantiated with do not defeat the memo, and both
-# are tuples, so no caller can change a cached answer.
+# are tuples of plain ints, so no caller can change a cached answer.
+#
+# sympy is imported only inside the functions that run on a miss, so the
+# first miss loads it; after that each such import is one dict lookup.
 
 _MEMO_SIZE = 1024
 
@@ -320,6 +315,8 @@ def _key(p, order):
 
 def _from_key(terms, n):
     """The dense ZZ polynomial in n variables with these terms."""
+    from sympy.polys.densebasic import dmp_from_dict
+    from sympy.polys.domains import ZZ
     return dmp_from_dict({e: ZZ(c) for e, c in terms}, n - 1, ZZ)
 
 
@@ -327,6 +324,7 @@ def _terms(f, n):
     """The dense ZZ polynomial f in n variables as (exponents, int) terms."""
     if not n:
         return (((), int(f)),) if f else ()
+    from sympy.polys.densebasic import dmp_to_dict
     return tuple((e, int(c)) for e, c in dmp_to_dict(f, n - 1).items())
 
 
@@ -350,6 +348,8 @@ def _in_order(factors):
 
 
 def _factor(f, n):
+    from sympy.polys.domains import ZZ
+    from sympy.polys.factortools import dmp_factor_list
     _, factors = dmp_factor_list(_from_key(f, n), n - 1, ZZ)
     return tuple(_terms(g, n) for g in _in_order(factors))
 
@@ -365,25 +365,32 @@ def factor(p: Polynomial):
 
 
 def _to_dup(coeffs):
-    return tuple(ZZ(c) for c in reversed(_integers(coeffs)))
+    return tuple(reversed(_integers(coeffs)))
 
 
 def _from_dup(f):
-    return [Fraction(int(c)) for c in reversed(f)]
+    return [Fraction(c) for c in reversed(f)]
 
 
 def _factor_dup(f):
-    _, factors = dup_factor_list(list(f), ZZ)
-    return tuple(tuple(g) for g in _in_order(factors))
+    from sympy.polys.domains import ZZ
+    from sympy.polys.factortools import dup_factor_list
+    _, factors = dup_factor_list(list(map(ZZ, f)), ZZ)
+    return tuple(tuple(map(int, g)) for g in _in_order(factors))
 
 
 def _sqf_dup(f):
-    return tuple(dup_sqf_part(list(f), ZZ))
+    from sympy.polys.domains import ZZ
+    from sympy.polys.sqfreetools import dup_sqf_part
+    return tuple(map(int, dup_sqf_part(list(map(ZZ, f)), ZZ)))
 
 
 def _gcd_dup(f, g):
-    _, h = dup_primitive(dup_gcd(list(f), list(g), ZZ), ZZ)
-    return tuple(h)
+    from sympy.polys.densetools import dup_primitive
+    from sympy.polys.domains import ZZ
+    from sympy.polys.euclidtools import dup_gcd
+    _, h = dup_primitive(dup_gcd(list(map(ZZ, f)), list(map(ZZ, g)), ZZ), ZZ)
+    return tuple(map(int, h))
 
 
 def factor_univariate(coeffs):
@@ -407,10 +414,14 @@ def gcd_univariate(p, q):
 
 
 def _discriminant(f, n):
+    from sympy.polys.domains import ZZ
+    from sympy.polys.euclidtools import dmp_discriminant
     return _terms(dmp_discriminant(_from_key(f, n), n - 1, ZZ), n - 1)
 
 
 def _resultant(f, g, n):
+    from sympy.polys.domains import ZZ
+    from sympy.polys.euclidtools import dmp_resultant
     return _terms(dmp_resultant(_from_key(f, n), _from_key(g, n), n - 1,
                                 ZZ), n - 1)
 

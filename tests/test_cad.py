@@ -378,11 +378,17 @@ def test_block_memo_keeps_the_body_errors():
 # ---------------------------------------------------------------------------
 
 
-def test_decide_joins_unrelated_towers():
+def sqrt2_pair():
+    """sqrt2 and -sqrt2, each the generator of its own field."""
     minus, plus = isolate_roots(QQ, [Fraction(-2), Fraction(0), Fraction(1)])
-    a = Num(plus.as_extension(), plus.as_extension().gen)     # sqrt2
-    b = Num(minus.as_extension(), minus.as_extension().gen)   # -sqrt2
+    a = Num(plus.as_extension(), plus.as_extension().gen)
+    b = Num(minus.as_extension(), minus.as_extension().gen)
     assert a.field is not b.field
+    return a, b
+
+
+def test_decide_joins_unrelated_towers():
+    a, b = sqrt2_pair()
     point = {"x": a, "y": b}
     assert decide(parse_formula("x + y = 0"), point)
     assert not decide(parse_formula("x - y = 0"), point)
@@ -392,3 +398,14 @@ def test_decide_joins_unrelated_towers():
                       {"x": a, "y": a})
     assert decide(parse_formula("exists z. (z^2 + x*y = 0 and z > 0)"),
                   point)
+
+
+def test_locate_joins_unrelated_towers():
+    a, b = sqrt2_pair()
+    decomp = compatible_decomposition([parse_formula("x + y = 0")])
+    path = locate(decomp, [a, b])
+    cell = decomp.cell_at(path)
+    assert cell.dim == 1 and cell.memberships[0]
+    # off the line, (sqrt2, sqrt2) lies in the sector above it
+    above = decomp.cell_at(locate(decomp, [a, a]))
+    assert above.dim == 2 and not above.memberships[0]

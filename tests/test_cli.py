@@ -69,7 +69,7 @@ def test_json_is_deterministic(circle, capsys, tmp_path):
 def test_flags_only_where_they_are_read(circle, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["fdinfo", circle, "--seed", "1"])
-    assert exc.value.code == 2
+    assert exc.value.code == 3
     assert "unrecognized arguments: --seed" in capsys.readouterr().err
 
 
@@ -247,3 +247,56 @@ def test_demo_runs(demo):
                           env=env, capture_output=True, text=True,
                           timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+# ---------------------------------------------------------------------------
+# cold processes: sympy is loaded only by subcommands that need algebra
+# ---------------------------------------------------------------------------
+# pytest's own process already holds sympy, so these run a fresh interpreter.
+
+COLD_MAIN = """\
+import sys
+from sharpcells.cli import main
+code = main(sys.argv[1:])
+print("sympy" in sys.modules)
+sys.exit(code)
+"""
+
+
+def cold(script, *argv):
+    """Run python -c script argv in a fresh interpreter on src/; its exit
+    code and standard output lines."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    return done.returncode, done.stdout.splitlines()
+
+
+@pytest.mark.parametrize("module", ["sharpcells", "sharpcells.cli"])
+def test_import_does_not_load_sympy(module):
+    code, lines = cold(f"import sys, {module}\n"
+                       "print('sympy' in sys.modules)")
+    assert (code, lines) == (0, ["False"])
+
+
+NO_ALGEBRA = [
+    ("parse", "x^2 + y^2 - 1 = 0"),
+    ("fdinfo", "x^2 + y^2 - 1 = 0"),
+    ("tree", json.dumps(TREE_INPUT)),
+    ("reduce-check", json.dumps(REDUCTION_INPUT)),
+]
+
+
+@pytest.mark.parametrize("command,text", NO_ALGEBRA,
+                         ids=[c for c, _ in NO_ALGEBRA])
+def test_syntax_subcommands_do_not_load_sympy(command, text, tmp_path):
+    f = tmp_path / "input"
+    f.write_text(text)
+    code, lines = cold(COLD_MAIN, command, str(f))
+    assert code == 0 and lines[-1] == "False"
+
+
+def test_cad_loads_sympy_and_answers_as_in_process(circle, capsys):
+    code, lines = cold(COLD_MAIN, "cad", circle)
+    assert code == 0 and lines[-1] == "True"
+    assert run(["cad", circle], capsys)[1].splitlines()[0] == lines[0]

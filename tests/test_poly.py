@@ -424,3 +424,36 @@ def test_memo_holds_at_most_its_size():
     info = poly._memo.cache_info()
     assert info.misses == size + 50
     assert info.currsize == size
+
+
+def ints_only(node):
+    """Whether a nested tuple holds nothing but plain ints."""
+    if isinstance(node, tuple):
+        return all(ints_only(x) for x in node)
+    return type(node) is int
+
+
+def test_memo_keys_and_answers_are_plain_ints(monkeypatch):
+    calls = []
+    compute = poly._memo.__wrapped__
+
+    def recording(kernel, *keys):
+        answer = compute(kernel, *keys)
+        calls.append((kernel.__name__, keys, answer))
+        return answer
+
+    monkeypatch.setattr(poly, "_memo", recording)
+    p = parse_poly("x^2*y - y^3 + 1/2*x", ("x", "y"))
+    q = parse_poly("x*y^2 - 2/3*x + 1", ("x", "y"))
+    coeffs = [Fraction(c, 3) for c in (2, -1, -2, 1)]
+    factor(p * q)
+    discriminant(p, "y")
+    resultant(p, q, "y")
+    factor_univariate(coeffs)
+    squarefree_univariate(coeffs)
+    gcd_univariate(coeffs, [Fraction(-1, 2), Fraction(1)])
+    assert [name for name, _, _ in calls] == [
+        "_factor", "_discriminant", "_resultant", "_factor_dup", "_sqf_dup",
+        "_gcd_dup"]
+    for name, keys, answer in calls:
+        assert ints_only(keys) and ints_only(answer), name
