@@ -27,7 +27,6 @@ from .cad import (
     CeilingError,
     Cell,
     CellDecomposition,
-    cad,
     cell_formula,
     compatible_decomposition,
     cylinder_cells,
@@ -84,7 +83,6 @@ from .topology import (
     betti,
     check_component_bound,
     connected_components,
-    grid_components,
     stratify,
     triangulate,
 )

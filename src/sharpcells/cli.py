@@ -1,8 +1,8 @@
 """Batch command line front end.
 
 One subcommand per analysis; plain-text tables go to standard output and
-the full JSON document is written when --json is given.  All randomness is
-seeded, and JSON output carries no timing so identical inputs and seeds
+the full JSON document is written when --json is given.  Every subcommand
+is deterministic, and JSON output carries no timing, so identical inputs
 produce identical bytes.
 """
 
@@ -224,8 +224,7 @@ def _cmd_betti(args):
 def _cmd_choice(args):
     psi = _load_formula(args.file)
     fibers = args.fiber.split(",") if args.fiber else None
-    fn = choice(psi, args.ell, strict=args.strict, samples=args.samples,
-                seed=args.seed, ceiling=args.ceiling, fiber_vars=fibers)
+    fn = choice(psi, args.ell, ceiling=args.ceiling, fiber_vars=fibers)
     doc = choice_to_json(fn)
     lines = [f"parameters: {' '.join(fn.param_vars) or '(none)'}",
              f"fiber: {' '.join(fn.fiber_vars)}",
@@ -409,9 +408,6 @@ def _build_parser():
     p.add_argument("--ell", type=int, default=1)
     p.add_argument("--fiber", help="comma-separated fiber variable names")
     p.add_argument("--at", help="comma-separated rational parameter values")
-    p.add_argument("--strict", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=20)
     p.add_argument("--approx", type=int, default=0, metavar="K")
 
     p = command("tree", _cmd_tree, "structure tree analysis")

@@ -36,7 +36,6 @@ from sharpcells.star import star_fd, star_report, star_union, to_star
 from sharpcells.topology import (
     betti,
     connected_components,
-    grid_components,
     triangulate,
 )
 from sharpcells.trees import (
@@ -46,6 +45,8 @@ from sharpcells.trees import (
     lift_times_R,
     omega_fd,
 )
+
+from grid_oracle import grid_components
 
 
 def fitted_exponent(xs, ys):

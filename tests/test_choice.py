@@ -88,15 +88,16 @@ def test_empty_fiber_detected():
         fn = choice_1d(parse_formula("(x - l > 0) and (l - x > 0)"),
                        fiber_vars=["x"])
         fn.evaluate([Fraction(0)])
+    # only the fiber over x = 0 is empty
+    with pytest.raises(ChoiceError):
+        choice_1d(parse_formula("x*l - 1 > 0"), fiber_vars=["l"])
 
 
-def test_strict_mode_certifies_nonemptiness():
-    fn = choice_1d(parse_formula("x - l > 0"), fiber_vars=["x"],
-                   strict=True)
+def test_choice_certifies_nonemptiness():
+    fn = choice_1d(parse_formula("x - l > 0"), fiber_vars=["x"])
     assert fn.case_at([Fraction(0)]) == ["C"]
     with pytest.raises(ChoiceError):
-        choice_1d(parse_formula("x^2 + l^2 < 0"), fiber_vars=["x"],
-                  strict=True)
+        choice_1d(parse_formula("x^2 + l^2 < 0"), fiber_vars=["x"])
 
 
 def test_two_dimensional_fiber_recursion():

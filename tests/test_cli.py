@@ -67,10 +67,16 @@ def test_json_is_deterministic(circle, capsys, tmp_path):
 
 
 def test_flags_only_where_they_are_read(circle, capsys):
+    # cad and choice read --approx; fdinfo does not
     with pytest.raises(SystemExit) as exc:
-        main(["fdinfo", circle, "--seed", "1"])
+        main(["fdinfo", circle, "--approx", "3"])
     assert exc.value.code == 3
-    assert "unrecognized arguments: --seed" in capsys.readouterr().err
+    assert "unrecognized arguments: --approx" in capsys.readouterr().err
+    # choice certifies nonempty fibers on every run, so it has no --strict
+    with pytest.raises(SystemExit) as exc:
+        main(["choice", circle, "--strict"])
+    assert exc.value.code == 3
+    assert "unrecognized arguments: --strict" in capsys.readouterr().err
 
 
 def test_components_and_betti(circle, capsys):
@@ -117,6 +123,12 @@ def test_ceiling_exceeded_is_resource_error(tmp_path, capsys):
     f.write_text("w^2 + x^2 + y^2 + z^2 - 1 < 0")
     code, _, err = run(["cad", str(f)], capsys)
     assert code == 2 and "ceiling" in err
+    # choice certifies its fibers by a decide in every variable
+    f = tmp_path / "two.fml"
+    f.write_text("x^2 + y^2 - l^2 - 1 < 0")
+    code, out, err = run(["choice", str(f), "--ell", "2", "--fiber", "x,y",
+                          "--ceiling", "2"], capsys)
+    assert code == 2 and "ceiling exceeded" in err and out == ""
 
 
 def test_choice_evaluation(tmp_path, capsys):
@@ -126,6 +138,14 @@ def test_choice_evaluation(tmp_path, capsys):
                        capsys)
     assert code == 0
     assert "cases C" in out and "(3)" in out
+
+
+def test_choice_with_an_empty_fiber_is_input_error(tmp_path, capsys):
+    # the fiber over x = 0 is empty, though over every other x it is not
+    f = tmp_path / "hyperbola.fml"
+    f.write_text("x*l - 1 > 0")
+    code, out, err = run(["choice", str(f), "--fiber", "l"], capsys)
+    assert code == 1 and "empty fiber" in err and out == ""
 
 
 def test_bound_check(tmp_path, capsys):

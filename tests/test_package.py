@@ -1,0 +1,32 @@
+"""Package layout: module names and what the library imports."""
+
+import ast
+import sys
+from pathlib import Path
+
+import sharpcells
+
+SRC = Path(sharpcells.__file__).parent
+
+
+def test_cad_submodule_is_importable_by_name():
+    import sharpcells.cad as m
+    assert m is sys.modules["sharpcells.cad"]
+
+
+def test_library_imports_no_random_or_float_arrays():
+    # answers are exact and deterministic: random sampling and the float
+    # grid oracle belong to the tests
+    banned = {"random", "numpy", "scipy"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [(path.name, n) for n in names
+                      if n.split(".")[0] in banned]
+    assert found == []

@@ -28,10 +28,10 @@ from sharpcells.topology import (
     check_component_bound,
     complex_to_json,
     connected_components,
-    grid_components,
     stratify,
     triangulate,
 )
+from grid_oracle import grid_components
 from test_cad import sign_conditions
 
 XYZ = ("x", "y", "z")
@@ -280,8 +280,8 @@ def test_boundary_rank_on_handmade_complex():
 
 
 def test_import_does_not_load_numpy():
-    # numpy serves only the grid oracle and the growth fit, so importing
-    # the library (and its CLI) must not pay for it
+    # numpy serves only the tests' grid oracle, so importing the library
+    # (and its CLI) must not pay for it
     pkg = os.path.abspath(sharpcells.__file__)
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pkg)))
     code = ("import sys, sharpcells, sharpcells.cli; "
