@@ -7,7 +7,8 @@ show the four case regions that drive the construction.
 
 from fractions import Fraction
 
-from sharpcells import choice, parse_formula, to_text
+from sharpcells import parse_formula, to_text
+from sharpcells.choice import choice
 
 # fiber over l: the open ray (l, +infinity); case C, g = inf + 1
 ray = parse_formula("x - l > 0")

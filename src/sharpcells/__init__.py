@@ -29,20 +29,12 @@ from .cad import (
     CellDecomposition,
     cell_formula,
     compatible_decomposition,
-    cylinder_cells,
     decide,
     decomposition_report,
     locate,
     sample_in_cell,
 )
-from .choice import ChoiceError, ChoiceFunction, choice, choice_1d, region_formulas
-from .constructors import (
-    diagonal_formulas,
-    diff_locus_formula,
-    local_maxima_formula,
-    rescale_to_unit,
-    unrescale_point,
-)
+from .choice import ChoiceError, ChoiceFunction, choice_1d, region_formulas
 from .fd import FDPair, atom_fd, fd_of_formula, pformat_of_formula
 from .formula import (
     And,
@@ -83,6 +75,7 @@ from .topology import (
     betti,
     check_component_bound,
     connected_components,
+    local_maxima_formula,
     stratify,
     triangulate,
 )

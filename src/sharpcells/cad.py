@@ -694,37 +694,6 @@ def cell_formula(decomp, cell, fresh_prefix="_q"):
 
 
 # ---------------------------------------------------------------------------
-# cylinders
-# ---------------------------------------------------------------------------
-
-
-def cylinder_cells(decomp, level, pad_prefix="_w"):
-    """The decomposition of R^level induced by a cylindrical decomposition.
-
-    For level below the ambient dimension this is the stored base
-    decomposition; above it, cells are extended by full lines.
-    """
-    layers = decomp.layers()
-    if 1 <= level <= decomp.level:
-        return layers[level - 1]
-    if level < 1:
-        raise CADError("level must be at least 1")
-    d = decomp
-    for k in range(decomp.level + 1, level + 1):
-        var = f"{pad_prefix}{k}"
-        nd = CellDecomposition(d.variables + (var,), [], [], d)
-        cells = []
-        for c in d.cells:
-            nd.stacks[c.index_path] = Stack(c.field, c.coords, [], [])
-            cells.append(Cell(c.index_path + (0,), c.field,
-                              list(c.coords) + [num_in(c.field, Fraction(0))],
-                              c.dim + 1))
-        nd.cells = cells
-        d = nd
-    return d
-
-
-# ---------------------------------------------------------------------------
 # exact decisions for quantified formulas (small ambient dimension)
 # ---------------------------------------------------------------------------
 

@@ -130,9 +130,6 @@ class Node:
         return f"Node({self.op}, {self.children})"
 
 
-Derivation = (Leaf, Node)
-
-
 def derive_fd(d, system: AxiomSystem) -> FDPair:
     """Root FD of a derivation: an upper bound on the set's FD in the
     filtration generated by the leaves under this axiom system."""
@@ -185,7 +182,7 @@ def check_reduction(corpus, witness: ReductionWitness,
                     system: AxiomSystem) -> dict:
     """Check a reduction witness on a finite corpus.
 
-    corpus entries are (source FDPair, target-side Derivation).  Each entry
+    corpus entries are (source FDPair, target-side derivation).  Each entry
     passes when the derived target FD is within (a(F), P_F(D)) of the
     source.  The report lists the violations and the exercised FD range.
     """

@@ -190,6 +190,11 @@ class ChoiceFunction:
         coordinate.
         """
         if not isinstance(lam, dict):
+            lam = list(lam)
+            if len(lam) != len(self.param_vars):
+                raise ChoiceError(
+                    f"{len(lam)} values for {len(self.param_vars)} "
+                    f"parameters {list(self.param_vars)}")
             lam = dict(zip(self.param_vars, lam))
         missing = [p for p in self.param_vars if p not in lam]
         if missing:

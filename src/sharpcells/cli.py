@@ -352,6 +352,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(3, f"{self.prog}: error: {message}\n")
 
 
+def _nonnegative(text):
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser():
     top = _Parser(
         prog="sharpcells",
@@ -377,7 +384,7 @@ def _build_parser():
                 ceiling=True)
     p.add_argument("files", nargs="+")
     p.add_argument("--stats", action="store_true")
-    p.add_argument("--approx", type=int, default=0, metavar="K")
+    p.add_argument("--approx", type=_nonnegative, default=0, metavar="K")
 
     p = command("components", _cmd_components, "connected components",
                 ceiling=True)
@@ -408,7 +415,7 @@ def _build_parser():
     p.add_argument("--ell", type=int, default=1)
     p.add_argument("--fiber", help="comma-separated fiber variable names")
     p.add_argument("--at", help="comma-separated rational parameter values")
-    p.add_argument("--approx", type=int, default=0, metavar="K")
+    p.add_argument("--approx", type=_nonnegative, default=0, metavar="K")
 
     p = command("tree", _cmd_tree, "structure tree analysis")
     p.add_argument("file")
@@ -433,6 +440,8 @@ def _build_parser():
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.command == "star" and args.ccd is None and len(args.files) > 1:
+        parser.error("star takes one file unless --ccd is given")
     try:
         return args.fn(args)
     except SystemExit2 as exc:

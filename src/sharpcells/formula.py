@@ -207,9 +207,9 @@ def walk(psi):
         yield from walk(psi.child)
 
 
-def validate(psi, env=None):
+def validate(psi):
     """Check the binding discipline: each quantified variable bound exactly
-    once and not free elsewhere; named atoms resolve with matching arity."""
+    once and not free elsewhere."""
     bounds = bound_vars(psi)
     dup = {v for v in bounds if bounds.count(v) > 1}
     if dup:
@@ -217,15 +217,6 @@ def validate(psi, env=None):
     clash = set(bounds) & set(psi.free_vars())
     if clash:
         raise FormulaError(f"variables both free and bound: {sorted(clash)}")
-    if env is not None:
-        for atom in psi.atoms():
-            if isinstance(atom, NamedAtom):
-                target, _ = env.lookup(atom.name)
-                if len(target.free_vars()) != len(atom.args):
-                    raise FormulaError(
-                        f"@{atom.name} expects {len(target.free_vars())} "
-                        f"arguments, got {len(atom.args)}"
-                    )
     return psi
 
 

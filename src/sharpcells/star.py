@@ -16,13 +16,11 @@ from .cad import (
     CADError,
     DEFAULT_CEILING,
     compatible_decomposition,
-    cylinder_cells,
     poly_sign_at,
 )
-from .constructors import _unit_box_atom
 from .fd import FDPair, fd_of_formula
 from .formula import And, Atom, Formula, instantiate, to_text
-from .parser import parse_formula
+from .parser import parse_formula, parse_poly
 from .topology import connected_components
 
 
@@ -123,7 +121,6 @@ def _sign_formula(decomp, signs):
             atoms.append(Atom(q.extend(variables), op))
     if not atoms:
         # trivial decomposition: a single cell, the whole space
-        from .parser import parse_poly
         p = parse_poly(" + ".join(f"0*{v}" for v in variables) + " + 1",
                        variables)
         return Atom(p, ">")
@@ -191,11 +188,12 @@ def star_ccd(reps, n, ceiling=DEFAULT_CEILING):
         for e in r.entries:
             k = len(e.source.free_vars())
             psi = instantiate(e.source, variables[:k], "_sb")
-            pads = [_unit_box_atom(v) for v in variables[k:]]
+            pads = [Atom(parse_poly(f"{v} - {v}^2"), ">")
+                    for v in variables[k:]]
             sets.append(And([psi] + pads) if pads else psi)
     full = compatible_decomposition(sets, variables=variables,
                                     ceiling=ceiling)
-    out = cylinder_cells(full, n)
+    out = full.layers()[n - 1]
     stars = {}
     for cell in out.cells:
         covering = min(c.index_path for c in full.cells

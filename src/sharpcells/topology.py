@@ -25,15 +25,19 @@ from .cad import (
     compatible_decomposition,
     restrict,
 )
-from .constructors import local_maxima_formula
 from .fd import fd_of_formula
 from .formula import (
     And,
     Atom,
+    Exists,
+    Forall,
     Formula,
     Not,
     Or,
+    instantiate,
+    validate,
 )
+from .parser import parse_poly
 from .poly import resultant
 from .realalg import (
     QQ,
@@ -399,8 +403,7 @@ def _closed_variant(psi):
     return psi
 
 
-def check_component_bound(family, cap, ceiling=DEFAULT_CEILING,
-                          witness_functionals=None) -> dict:
+def check_component_bound(family, cap, ceiling=DEFAULT_CEILING) -> dict:
     """Count components across a degree-indexed family and fit the growth.
 
     family maps a degree index to a formula.  The fitted exponent is the
@@ -423,7 +426,7 @@ def check_component_bound(family, cap, ceiling=DEFAULT_CEILING,
     else:
         exponent = 0.0
     top = max(family)
-    witness = _maxima_witness(family[top], ceiling, witness_functionals)
+    witness = _maxima_witness(family[top], ceiling)
     return {
         "counts": counts,
         "exponent": exponent,
@@ -433,15 +436,45 @@ def check_component_bound(family, cap, ceiling=DEFAULT_CEILING,
     }
 
 
-def _maxima_witness(X, ceiling, functionals):
+def _dist2_text(us, vs):
+    return " + ".join(f"({u} - {v})^2" for u, v in zip(us, vs))
+
+
+def local_maxima_formula(X: Formula, functional) -> Formula:
+    """The set of local maxima of a linear functional restricted to X."""
+    xs = list(X.free_vars())
+    functional = [Fraction(c) for c in functional]
+    ys = [f"_m{j}" for j in range(len(xs))]
+    eps = "_me"
+    X_y = instantiate(X, ys, "_mxb")
+    dist2 = parse_poly(f"{_dist2_text(ys, xs)} - {eps}^2")
+    terms = []
+    for c, y, x in zip(functional, ys, xs):
+        if c == 0:
+            continue
+        cs = f"{c.numerator}" if c.denominator == 1 else \
+            f"{c.numerator}/{c.denominator}"
+        terms.append(f"({cs})*({y} - {x})")
+    if not terms:
+        # zero functional: every point of X is a local maximum
+        return validate(X)
+    gain = parse_poly(" + ".join(terms))
+    near = And([X_y, Atom(dist2, "<")])
+    inner = Or([Not(near), Not(Atom(gain, ">"))])
+    for y in reversed(ys):
+        inner = Forall(y, inner)
+    cond = Exists(eps, And([Atom(parse_poly(eps), ">"), inner]))
+    return validate(And([X, cond]))
+
+
+def _maxima_witness(X, ceiling):
     closed = _closed_variant(X)
     ell = len(X.free_vars())
-    if functionals is None:
-        functionals = [[1] + [0] * (ell - 1), [-1] + [0] * (ell - 1)]
-        if ell >= 2:
-            functionals.append([0] * (ell - 1) + [1])
-            functionals.append([0] * (ell - 1) + [-1])
-            functionals.append([1] * ell)
+    functionals = [[1] + [0] * (ell - 1), [-1] + [0] * (ell - 1)]
+    if ell >= 2:
+        functionals.append([0] * (ell - 1) + [1])
+        functionals.append([0] * (ell - 1) + [-1])
+        functionals.append([1] * ell)
     best = None
     for f in functionals:
         maxima = local_maxima_formula(closed, f)

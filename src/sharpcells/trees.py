@@ -30,7 +30,6 @@ OPS = ("union", "intersection", "project_last", "complement",
        "times_R_right", "times_R_left")
 
 MULTI_OPS = ("union", "intersection")
-UNARY_OPS = ("project_last", "complement", "times_R_right", "times_R_left")
 
 
 class TreeError(ValueError):

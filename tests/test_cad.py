@@ -14,7 +14,6 @@ from sharpcells.cad import (
     cad,
     cell_formula,
     compatible_decomposition,
-    cylinder_cells,
     decide,
     decomposition_report,
     locate,
@@ -124,7 +123,7 @@ def test_cell_formula_defines_the_cell():
 
 def test_cylinder_cells_projection():
     decomp = compatible_decomposition([parse_formula("x^2 + y^2 - 1 = 0")])
-    base = cylinder_cells(decomp, 1)
+    base = decomp.layers()[0]
     assert base.level == 1
     assert len(base.cells) == 5
     paths = {c.index_path for c in base.cells}

@@ -39,6 +39,14 @@ def test_attained_inf_case_c():
     assert coords[0].as_fraction() == Fraction(-5, 2)
 
 
+def test_evaluate_takes_one_value_per_parameter():
+    fn = choice_1d(parse_formula("x - l > 0"), fiber_vars=["x"])
+    with pytest.raises(ChoiceError):
+        fn.evaluate([Fraction(1), Fraction(2)])
+    with pytest.raises(ChoiceError):
+        fn.evaluate([])
+
+
 def test_bounded_interval_case_d():
     total = parse_formula("(x - l > 0) and (l + 1 - x > 0)")
     fn = choice_1d(total, fiber_vars=["x"])

@@ -138,6 +138,10 @@ def test_choice_evaluation(tmp_path, capsys):
                        capsys)
     assert code == 0
     assert "cases C" in out and "(3)" in out
+    # one value per parameter: a second value is an input error
+    code, out, err = run(["choice", str(f), "--fiber", "x", "--at", "1,2"],
+                         capsys)
+    assert code == 1 and "2 values for 1 parameters" in err and out == ""
 
 
 def test_choice_with_an_empty_fiber_is_input_error(tmp_path, capsys):
@@ -180,6 +184,18 @@ def test_star_and_report(circle, capsys):
     code, out, _ = run(["report", circle], capsys)
     assert code == 0
     assert "star-FD" in out
+
+
+def test_malformed_arguments_are_usage_errors(circle, capsys):
+    # plain star reads one file; more than one needs --ccd
+    with pytest.raises(SystemExit) as exc:
+        main(["star", circle, circle])
+    assert exc.value.code == 3
+    assert "--ccd" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["cad", circle, "--approx", "-2"])
+    assert exc.value.code == 3
+    assert "non-negative integer" in capsys.readouterr().err
 
 
 def test_star_ccd(circle, capsys):

@@ -1,7 +1,7 @@
 """Package layout: module names and what the library imports."""
 
 import ast
-import sys
+import importlib
 from pathlib import Path
 
 import sharpcells
@@ -10,8 +10,13 @@ SRC = Path(sharpcells.__file__).parent
 
 
 def test_cad_submodule_is_importable_by_name():
-    import sharpcells.cad as m
-    assert m is sys.modules["sharpcells.cad"]
+    # every submodule name, cad among them, binds its module: a re-exported
+    # function must not shadow the submodule it comes from
+    for path in sorted(SRC.glob("*.py")):
+        name = path.stem
+        if hasattr(sharpcells, name):
+            module = importlib.import_module(f"sharpcells.{name}")
+            assert module is getattr(sharpcells, name), name
 
 
 def test_library_imports_no_random_or_float_arrays():

@@ -28,6 +28,7 @@ from sharpcells.topology import (
     check_component_bound,
     complex_to_json,
     connected_components,
+    local_maxima_formula,
     stratify,
     triangulate,
 )
@@ -195,6 +196,24 @@ def test_check_component_bound():
     assert rep["witness"]["components_met"] == rep["witness"]["components_total"]
     # an impossible cap must fail
     assert not check_component_bound(family, Fraction(1, 10))["passed"]
+
+
+def test_local_maxima_of_interval():
+    seg = parse_formula("(x > 0) and (1 - x > 0)")
+    top = local_maxima_formula(seg, [1])
+    # sup is not attained on the open interval
+    assert not decide(top, {"x": Fraction(1, 2)}, ceiling=4)
+    closed = parse_formula("(not (x < 0)) and (not (x - 1 > 0))")
+    top = local_maxima_formula(closed, [1])
+    assert decide(top, {"x": Fraction(1)}, ceiling=4)
+    assert not decide(top, {"x": Fraction(1, 2)}, ceiling=4)
+
+
+def test_local_maxima_zero_functional():
+    X = parse_formula("x^2 + y^2 - 1 < 0")
+    every = local_maxima_formula(X, [0, 0])
+    # the zero functional is maximal everywhere on X
+    assert decide(every, {"x": Fraction(0), "y": Fraction(0)}, ceiling=4)
 
 
 def test_stratify_circle():

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from sharpcells.calculus import SHARP_SYSTEM, Leaf, Node, derive_fd
 from sharpcells.fd import fd_of_formula
 from sharpcells.formula import Environment, is_quantifier_free
 from sharpcells.parser import parse_formula
@@ -66,6 +67,14 @@ def hand_omega(node, env):
     return type(subs[0])(fmt, sum(f.degree for f in subs))
 
 
+def as_derivation(node, env):
+    """The tree read as a derivation: leaves carry their environment FD."""
+    if isinstance(node, TLeaf):
+        return Leaf(node.name, env.lookup(node.name)[1])
+    op = "projection" if node.op == "project_last" else node.op
+    return Node(op, [as_derivation(c, env) for c in node.children])
+
+
 def test_omega_fd_matches_hand_recursion_on_random_trees():
     env = make_env()
     rng = random.Random(77)
@@ -73,6 +82,9 @@ def test_omega_fd_matches_hand_recursion_on_random_trees():
     for _ in range(20):
         t = StructureTree(random_tree(rng, names))
         assert omega_fd(t, env) == hand_omega(t.root, env)
+        # the structure-tree recursion is the Sharp axiom system
+        assert omega_fd(t, env) == derive_fd(as_derivation(t.root, env),
+                                             SHARP_SYSTEM)
 
 
 def test_projection_and_complement_leave_fd_unchanged():
