@@ -7,7 +7,7 @@ show the four case regions that drive the construction.
 
 from fractions import Fraction
 
-from sharpcells import parse_formula, to_text
+from sharpcells import parse_formula
 from sharpcells.choice import choice
 
 # fiber over l: the open ray (l, +infinity); case C, g = inf + 1

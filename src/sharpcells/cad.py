@@ -26,6 +26,7 @@ from .formula import (
     Not,
     Or,
     bound_vars,
+    instantiate,
 )
 from .fd import fd_of_formula
 from .poly import (
@@ -330,9 +331,10 @@ class Stack:
     increasing order.
     """
 
-    def __init__(self, field, coords, upolys, sections):
+    def __init__(self, field, coords, basis, upolys, sections):
         self.field = field
         self.coords = coords
+        self.basis = basis
         self.upolys = upolys
         self.sections = sections
 
@@ -348,10 +350,11 @@ class Stack:
         samples.append(handles[-1].hi + 1)
         return samples
 
-    def product(self, basis):
+    @cached_property
+    def product(self):
         """Product of the basis polynomials nonconstant on the fiber, or
         None when there are none."""
-        active = [q for q, up in zip(basis, self.upolys)
+        active = [q for q, up in zip(self.basis, self.upolys)
                   if up is not None and len(up) >= 2]
         return reduce(operator.mul, active) if active else None
 
@@ -393,7 +396,7 @@ def build_stack(field, coords, basis, factor=True):
             handles.extend(_root_handles(field, up, factor=factor))
     sections = [Section(field, group[0], factor)
                 for group in sort_roots(handles)]
-    return Stack(field, coords, upolys, sections)
+    return Stack(field, coords, basis, upolys, sections)
 
 
 def _lift_cells(base_cell, stack):
@@ -659,7 +662,7 @@ def cell_formula(decomp, cell, fresh_prefix="_q"):
         var = layer.variables[-1]
         stack = layer.stacks[cell.index_path[:k]]
         sections = stack.sections
-        P = stack.product(layer.basis)
+        P = stack.product
         if idx % 2 == 1:
             sec = sections[idx // 2]
             if k == 0 and sec.handle.is_rational():
@@ -755,6 +758,13 @@ def decide(psi: Formula, point=None, ceiling=DEFAULT_CEILING):
     or exact algebraic Num); quantified variables are handled by recursive
     decomposition over projection polynomials, so the quantifier depth is
     limited by the ceiling.
+
+    An outer quantifier, one under nothing but And, Or and Not, whose free
+    variables all have rational values is decided through a memo: its key
+    is the quantifier renamed to canonical names, the values and the
+    ceiling, so it holds no caller names, and a renamed copy met again at
+    the same point is decided once.  Nested quantifiers are not memoised.
+    The memo shares its size with the block memo (_BLOCK_MEMO_SIZE).
     """
     point = dict(point or {})
     missing = [v for v in psi.free_vars() if v not in point]
@@ -763,26 +773,38 @@ def decide(psi: Formula, point=None, ceiling=DEFAULT_CEILING):
     return _decide(psi, point, ceiling)
 
 
-def _decide(psi, point, ceiling):
+def _decide(psi, point, ceiling, outer=True):
     if isinstance(psi, Atom):
         return _eval_atom(psi, point)
     if isinstance(psi, NamedAtom):
         raise CADError("resolve named atoms before deciding")
     if isinstance(psi, And):
-        return all(_decide(c, point, ceiling) for c in psi.children)
+        return all(_decide(c, point, ceiling, outer) for c in psi.children)
     if isinstance(psi, Or):
-        return any(_decide(c, point, ceiling) for c in psi.children)
+        return any(_decide(c, point, ceiling, outer) for c in psi.children)
     if isinstance(psi, Not):
-        return not _decide(psi.child, point, ceiling)
+        return not _decide(psi.child, point, ceiling, outer)
     if isinstance(psi, (Exists, Forall)):
-        want = isinstance(psi, Exists)
-        for value in _test_points(psi, point, ceiling):
-            newpoint = dict(point)
-            newpoint[psi.var] = value
-            if _decide(psi.child, newpoint, ceiling) == want:
-                return want
-        return not want
+        if outer:
+            free = psi.free_vars()
+            values = tuple(_as_num(point[v]).as_fraction() for v in free)
+            if None not in values:
+                names = [f"_f{i}" for i in range(len(free))]
+                return _decide_closed(instantiate(psi, names, "_b"), values,
+                                      ceiling)
+        return _decide_quantifier(psi, point, ceiling)
     raise CADError(f"cannot decide {psi!r}")
+
+
+def _decide_quantifier(psi, point, ceiling):
+    """Truth of a quantified psi: its body at every test point of psi.var."""
+    want = isinstance(psi, Exists)
+    for value in _test_points(psi, point, ceiling):
+        newpoint = dict(point)
+        newpoint[psi.var] = value
+        if _decide(psi.child, newpoint, ceiling, outer=False) == want:
+            return want
+    return not want
 
 
 def _test_points(psi, point, ceiling):
@@ -850,6 +872,15 @@ def _block_basis(psi, names):
     full = tuple(full[:keep])
     return full[:-1], tuple(p.extend(full) for p in work
                             if not p.is_constant())
+
+
+@lru_cache(maxsize=_BLOCK_MEMO_SIZE)
+def _decide_closed(psi, values, ceiling):
+    """Truth of a quantifier psi in canonical names (_f0, _f1, ... free,
+    from formula.instantiate) with the free variables at the rationals
+    values, in order."""
+    point = {f"_f{i}": v for i, v in enumerate(values)}
+    return _decide_quantifier(psi, point, ceiling)
 
 
 # ---------------------------------------------------------------------------

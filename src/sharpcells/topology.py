@@ -221,7 +221,7 @@ def _axis_codes(decomp, upper, lower, P, seps, count):
     avoid = [restrict(field, P, fixed + [field.from_fraction(s)], k)
              for s in seps]
     for j in range(k + 1, decomp.level - 1):
-        crossing = layers[j].stacks[upper[:j]].product(layers[j].basis)
+        crossing = layers[j].stacks[upper[:j]].product
         if crossing is not None:
             avoid.append(restrict(field, crossing, fixed[:j], k))
     u = _near_endpoint(field, avoid, sections[t].handle, far, side)
@@ -291,7 +291,7 @@ def _pair_codes(decomp, upper, lower, known):
         inner = known[mid][lower]
         return [0 if c == 0 else s + 1 if c > s_mid else inner[c - 1]
                 for c in known[upper][mid]]
-    return walk(decomp, upper, lower, top.product(decomp.basis),
+    return walk(decomp, upper, lower, top.product,
                 decomp.stacks[lower].sector_samples(), len(top.sections))
 
 

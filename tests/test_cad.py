@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from sharpcells.cad import (
     CADError,
     CeilingError,
+    _decide_closed,
     _test_points,
     cad,
     cell_formula,
@@ -20,7 +21,8 @@ from sharpcells.cad import (
     poly_sign_at,
     sample_in_cell,
 )
-from sharpcells.formula import And, Atom, Exists, NamedAtom, Or, to_text
+from sharpcells.choice import choice_1d, region_formulas
+from sharpcells.formula import And, Atom, Exists, NamedAtom, Or, instantiate
 from sharpcells.parser import parse_formula, parse_poly
 from sharpcells.poly import Polynomial
 from sharpcells.realalg import QQ, Num, isolate_roots
@@ -370,6 +372,61 @@ def test_block_memo_keeps_the_body_errors():
     for _ in range(2):
         with pytest.raises(CADError, match="stray variables"):
             list(_test_points(psi, {"x": Fraction(3)}, 3))
+
+
+# ---------------------------------------------------------------------------
+# the memo of outer quantifiers at rational points
+# ---------------------------------------------------------------------------
+
+
+def memo_lookups():
+    info = _decide_closed.cache_info()
+    return info.hits, info.misses
+
+
+def test_renamed_copy_is_decided_once():
+    # the roots of t^2 - 5/2 t + 1 are 2 and 1/2
+    psi = parse_formula("exists t. ((t^2 - x*t + y = 0) and (t - 1 > 0))")
+    assert decide(psi, {"x": Fraction(5, 2), "y": Fraction(1)})
+    copy = instantiate(psi, {"x": "u", "y": "v"}, "_r")
+    assert copy.var != psi.var and copy.free_vars() == ("u", "v")
+    hits, misses = memo_lookups()
+    assert decide(copy, {"u": Fraction(5, 2), "v": Fraction(1)})
+    assert memo_lookups() == (hits + 1, misses)
+    # another point is another key
+    assert not decide(copy, {"u": Fraction(5, 2), "v": Fraction(3)})
+    assert memo_lookups() == (hits + 1, misses + 1)
+
+
+def test_memo_keeps_the_ceiling_check():
+    psi = parse_formula("exists t. exists s. (t^2 + s^2 - x < 0)")
+    assert decide(psi, {"x": Fraction(1)}, ceiling=6)
+    copy = instantiate(psi, ["w"], "_r")
+    with pytest.raises(CeilingError):
+        decide(copy, {"w": Fraction(1)}, ceiling=1)
+    assert decide(copy, {"w": Fraction(1)}, ceiling=6)
+
+
+def test_memo_skips_irrational_points():
+    a, _ = sqrt2_pair()
+    psi = parse_formula("exists t. (t^2 - x*t + y = 0)")
+    lookups = memo_lookups()
+    # the discriminant x^2 - 4y is 2 - 4 < 0 and 2 - 1 > 0
+    assert not decide(psi, {"x": a, "y": Fraction(1)})
+    assert decide(psi, {"x": a, "y": Fraction(1, 4)})
+    assert memo_lookups() == lookups
+
+
+def test_region_d_reuses_the_other_regions():
+    total = parse_formula("(x - l > 0) and (l + 1 - x > 0)")
+    regions = region_formulas(total, "x")
+    lam = Fraction(1, 2)
+    _, (case,) = choice_1d(total, fiber_vars=["x"]).evaluate([lam])
+    truth = {k: decide(regions[k], {"l": lam}, ceiling=6) for k in "ABC"}
+    hits, _ = memo_lookups()
+    truth["D"] = decide(regions["D"], {"l": lam}, ceiling=6)
+    assert memo_lookups()[0] > hits
+    assert truth == {k: k == case for k in "ABCD"}
 
 
 # ---------------------------------------------------------------------------

@@ -35,3 +35,25 @@ def test_library_imports_no_random_or_float_arrays():
             found += [(path.name, n) for n in names
                       if n.split(".")[0] in banned]
     assert found == []
+
+
+def test_no_unused_module_level_imports():
+    # a module-level import that no name in the module reads; the package's
+    # __init__.py re-exports on purpose and __future__ imports bind nothing
+    tests = Path(__file__).parent
+    demos = tests.parent / "demos"
+    paths = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted(tests.glob("*.py")) + sorted(demos.glob("*.py"))
+    unused = []
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        bound = []
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound += [a.asname or a.name.split(".")[0] for a in node.names]
+            elif (isinstance(node, ast.ImportFrom)
+                  and node.module != "__future__"):
+                bound += [a.asname or a.name for a in node.names]
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += [(path.name, name) for name in bound if name not in read]
+    assert unused == []

@@ -20,7 +20,6 @@ from sharpcells.star import (
     star_union,
     to_star,
 )
-from sharpcells.topology import connected_components
 
 
 def test_to_star_counts_components():

@@ -17,7 +17,7 @@ from hypothesis import assume, given, settings
 import sharpcells
 from sharpcells.cad import compatible_decomposition, decide
 from sharpcells.formula import And, Atom
-from sharpcells.parser import parse_formula, parse_poly
+from sharpcells.parser import parse_formula
 from sharpcells.poly import Polynomial
 from sharpcells.topology import (
     NullifiedFibreError,
