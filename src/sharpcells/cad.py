@@ -57,9 +57,11 @@ class CADError(Exception):
 
 
 class CeilingError(CADError):
-    """Requested dimension exceeds the configured ceiling."""
+    """Requested dimension exceeds the ceiling."""
 
 
+# the largest ambient dimension the engine decomposes; decide alone takes a
+# ceiling of its own, on quantifier depth
 DEFAULT_CEILING = 3
 
 
@@ -430,7 +432,7 @@ def _lift_cells(base_cell, stack):
 # ---------------------------------------------------------------------------
 
 
-def cad(polys, variables=None, ceiling=DEFAULT_CEILING):
+def cad(polys, variables=None):
     """Sign-invariant cylindrical decomposition of R^len(variables)."""
     polys = list(polys)
     if variables is None:
@@ -443,9 +445,9 @@ def cad(polys, variables=None, ceiling=DEFAULT_CEILING):
             raise CADError("all polynomials must share one variable order")
     if len(variables) == 0:
         raise CADError("need at least one variable")
-    if len(variables) > ceiling:
-        raise CeilingError(
-            f"dimension {len(variables)} exceeds ceiling {ceiling}")
+    if len(variables) > DEFAULT_CEILING:
+        raise CeilingError(f"dimension {len(variables)} exceeds ceiling "
+                           f"{DEFAULT_CEILING}")
     basis = factor_basis(polys, variables)
     return _cad_levels(basis, variables)
 
@@ -888,7 +890,7 @@ def _decide_closed(psi, values, ceiling):
 # ---------------------------------------------------------------------------
 
 
-def compatible_decomposition(sets, variables=None, ceiling=DEFAULT_CEILING):
+def compatible_decomposition(sets, variables=None):
     """A cylindrical decomposition of R^n compatible with the given sets.
 
     Each input formula defines a subset of the common ambient space; every
@@ -913,9 +915,9 @@ def compatible_decomposition(sets, variables=None, ceiling=DEFAULT_CEILING):
                                f"the ambient variables {variables}")
     if not variables:
         raise CADError("no ambient variables")
-    if len(variables) > ceiling:
-        raise CeilingError(
-            f"dimension {len(variables)} exceeds ceiling {ceiling}")
+    if len(variables) > DEFAULT_CEILING:
+        raise CeilingError(f"dimension {len(variables)} exceeds ceiling "
+                           f"{DEFAULT_CEILING}")
 
     polys = []
 
@@ -941,15 +943,15 @@ def compatible_decomposition(sets, variables=None, ceiling=DEFAULT_CEILING):
             add(p)
         if quant_polys:
             order = list(variables) + list(bvars)
-            if len(order) > ceiling:
+            if len(order) > DEFAULT_CEILING:
                 raise CeilingError("elimination depth exceeds ceiling")
             for p in _eliminate(quant_polys, order, len(variables)):
                 add(p)
 
-    d = cad(polys, variables, ceiling=ceiling)
+    d = cad(polys, variables)
     for c in d.cells:
         point = c.sample_dict(variables)
-        c.memberships = tuple(decide(s, point, ceiling=ceiling) for s in sets)
+        c.memberships = tuple(decide(s, point) for s in sets)
     return d
 
 

@@ -112,7 +112,7 @@ def _nadd(a, b):
     return a + b
 
 
-def _axis_case(psi, var, point, ceiling):
+def _axis_case(psi, var, point):
     """Landmarks of {x : psi} at a fixed assignment of the other variables.
 
     Returns (case, value): the case letter and the exact chosen value.
@@ -120,12 +120,12 @@ def _axis_case(psi, var, point, ceiling):
     the in/out pattern along the line is certified.
     """
     wrapper = Exists(var, psi)
-    cands = list(_test_points(wrapper, point, ceiling))
+    cands = list(_test_points(wrapper, point, DEFAULT_CEILING))
     flags = []
     for c in cands:
         sub = dict(point)
         sub[var] = c
-        flags.append(_decide(psi, sub, ceiling))
+        flags.append(_decide(psi, sub, DEFAULT_CEILING))
     n = len(cands)
     try:
         first = flags.index(True)
@@ -169,12 +169,11 @@ class ChoiceFunction:
     projected family it works on, the four case regions, and their FDs.
     """
 
-    def __init__(self, total, param_vars, fiber_vars, stages, ceiling):
+    def __init__(self, total, param_vars, fiber_vars, stages):
         self.total = total
         self.param_vars = tuple(param_vars)
         self.fiber_vars = tuple(fiber_vars)
         self.stages = stages
-        self.ceiling = ceiling
 
     @property
     def fd(self) -> FDPair:
@@ -203,19 +202,14 @@ class ChoiceFunction:
         coords = []
         cases = []
         for stage in self.stages:
-            case, value = _axis_case(stage["family"], stage["var"], point,
-                                     self.ceiling)
+            case, value = _axis_case(stage["family"], stage["var"], point)
             point[stage["var"]] = value
             coords.append(value)
             cases.append(case)
         return coords, cases
 
-    def case_at(self, lam):
-        return self.evaluate(lam)[1]
 
-
-def choice(total: Formula, ell: int, ceiling=DEFAULT_CEILING,
-           fiber_vars=None) -> ChoiceFunction:
+def choice(total: Formula, ell: int, fiber_vars=None) -> ChoiceFunction:
     """Choice function for a family whose fibers are subsets of R^ell.
 
     The last ell free variables of total (in their appearance order) are
@@ -223,7 +217,8 @@ def choice(total: Formula, ell: int, ceiling=DEFAULT_CEILING,
     rest are parameters.  A section exists only when every fiber is
     nonempty, so the closed sentence (for all parameters, some fiber point
     lies in total) is decided once; ChoiceError is raised when it is
-    false, and CeilingError when total has more variables than ceiling.
+    false, and CeilingError when total has more than DEFAULT_CEILING
+    variables.
     """
     fv = total.free_vars()
     if ell < 1 or ell > len(fv):
@@ -241,7 +236,7 @@ def choice(total: Formula, ell: int, ceiling=DEFAULT_CEILING,
         closed = Exists(w, closed)
     for p in reversed(params):
         closed = Forall(p, closed)
-    if not _decide(closed, {}, ceiling):
+    if not _decide(closed, {}, DEFAULT_CEILING):
         raise ChoiceError("empty fiber (certified)")
     stages = []
     for i, v in enumerate(fibers):
@@ -255,15 +250,14 @@ def choice(total: Formula, ell: int, ceiling=DEFAULT_CEILING,
             "regions": {k: {"formula": r, "fd": fd_of_formula(r)}
                         for k, r in regions.items()},
         })
-    return ChoiceFunction(total, params, fibers, stages, ceiling)
+    return ChoiceFunction(total, params, fibers, stages)
 
 
-def choice_1d(total: Formula, ceiling=DEFAULT_CEILING, fiber_vars=None,
-              samples=None) -> ChoiceFunction:
+def choice_1d(total: Formula, fiber_vars=None, samples=None) -> ChoiceFunction:
     """Choice for families of subsets of the line."""
     # samples is ignored: perfbench/workloads.py's warm_up passes
     # samples=2, and the benchmark changes only in its own commits
-    return choice(total, 1, ceiling=ceiling, fiber_vars=fiber_vars)
+    return choice(total, 1, fiber_vars=fiber_vars)
 
 
 # ---------------------------------------------------------------------------

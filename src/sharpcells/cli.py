@@ -26,6 +26,7 @@ from .choice import choice, choice_to_json
 from .fd import fd_of_formula, pformat_of_formula
 from .formula import to_text
 from .parser import ParseError, parse_formula
+from .realalg import RealAlgebraError
 from .star import star_ccd, star_fd, star_report, star_to_json, to_star
 from .topology import (
     NullifiedFibreError,
@@ -128,7 +129,7 @@ def _cmd_fdinfo(args):
 def _cmd_cad(args):
     sets = [_load_formula(p) for p in args.files]
     t0 = time.monotonic()
-    decomp = compatible_decomposition(sets, ceiling=args.ceiling)
+    decomp = compatible_decomposition(sets)
     elapsed = time.monotonic() - t0
     doc = {
         "version": 1,
@@ -157,7 +158,7 @@ def _cmd_cad(args):
 
 def _cmd_components(args):
     psi = _load_formula(args.file)
-    comps = connected_components(psi, ceiling=args.ceiling)
+    comps = connected_components(psi)
     doc = components_to_json(comps)
     lines = [f"{len(comps)} connected component(s)"]
     for i, c in enumerate(comps):
@@ -169,8 +170,7 @@ def _cmd_components(args):
 
 def _cmd_bound_check(args):
     family = {i + 1: _load_formula(p) for i, p in enumerate(args.files)}
-    rep = check_component_bound(family, Fraction(args.cap),
-                                ceiling=args.ceiling)
+    rep = check_component_bound(family, Fraction(args.cap))
     doc = {"version": 1, **rep}
     doc["cap"] = str(Fraction(args.cap))
     lines = ["index  components"]
@@ -184,7 +184,7 @@ def _cmd_bound_check(args):
 
 def _cmd_stratify(args):
     psi = _load_formula(args.file)
-    strata = stratify(psi, ceiling=args.ceiling)
+    strata = stratify(psi)
     doc = {"version": 1, "strata": [
         {"dim": s.dim, "cells": [list(p) for p in s.cells],
          "fd": list(s.fd.as_tuple())} for s in strata]}
@@ -199,7 +199,7 @@ def _cmd_stratify(args):
 def _cmd_triangulate(args):
     psi = _load_formula(args.file)
     subsets = [_load_formula(p) for p in args.subsets]
-    K, desc = triangulate(psi, subsets, ceiling=args.ceiling)
+    K, desc = triangulate(psi, subsets)
     doc = {"version": 1, "complex": complex_to_json(K), "map": desc}
     v, e, f = K.counts()
     lines = [f"complex: {v} vertices, {e} edges, {f} triangles"]
@@ -213,7 +213,7 @@ def _cmd_triangulate(args):
 
 def _cmd_betti(args):
     psi = _load_formula(args.file)
-    K, _ = triangulate(psi, ceiling=args.ceiling)
+    K, _ = triangulate(psi)
     b = betti(K)
     doc = {"version": 1, "betti": list(b),
            "euler_characteristic": K.euler_characteristic()}
@@ -224,7 +224,7 @@ def _cmd_betti(args):
 def _cmd_choice(args):
     psi = _load_formula(args.file)
     fibers = args.fiber.split(",") if args.fiber else None
-    fn = choice(psi, args.ell, ceiling=args.ceiling, fiber_vars=fibers)
+    fn = choice(psi, args.ell, fiber_vars=fibers)
     doc = choice_to_json(fn)
     lines = [f"parameters: {' '.join(fn.param_vars) or '(none)'}",
              f"fiber: {' '.join(fn.fiber_vars)}",
@@ -272,9 +272,8 @@ def _cmd_tree(args):
 
 def _cmd_star(args):
     if args.ccd is not None:
-        reps = [to_star(_load_formula(p), ceiling=args.ceiling)
-                for p in args.files]
-        decomp, stars, rep = star_ccd(reps, args.ccd, ceiling=args.ceiling)
+        reps = [to_star(_load_formula(p)) for p in args.files]
+        decomp, stars, rep = star_ccd(reps, args.ccd)
         doc = {"version": 1, "cells": len(decomp.cells),
                "max_star_fd": rep["max_star_fd"],
                "stars": {",".join(map(str, k)): star_to_json(v)
@@ -282,7 +281,7 @@ def _cmd_star(args):
         _emit(args, doc, [f"{rep['cells']} cells, "
                           f"max star FD {tuple(rep['max_star_fd'])}"])
         return 0
-    rep = to_star(_load_formula(args.files[0]), ceiling=args.ceiling)
+    rep = to_star(_load_formula(args.files[0]))
     doc = star_to_json(rep)
     fd = star_fd(rep)
     _emit(args, doc, [f"{len(rep.entries)} entries, star FD {fd.as_tuple()}"])
@@ -315,11 +314,10 @@ def _cmd_report(args):
     for path in args.files:
         psi = _load_formula(path)
         fd = fd_of_formula(psi)
-        decomp = compatible_decomposition([psi], ceiling=args.ceiling)
+        decomp = compatible_decomposition([psi])
         naive = decomposition_report(decomp)
         stars = star_report(decomp)
-        comps = connected_components(psi, ceiling=args.ceiling,
-                                     decomp=decomp)
+        comps = connected_components(psi, decomp=decomp)
         rows.append({
             "file": path,
             "fd": list(fd.as_tuple()),
@@ -365,12 +363,10 @@ def _build_parser():
         description="format/degree analyses of semialgebraic sets")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def command(name, fn, help, ceiling=False):
-        """A subcommand with --json, plus --ceiling where fn reads it."""
+    def command(name, fn, help):
+        """A subcommand with --json."""
         p = sub.add_parser(name, help=help)
         p.add_argument("--json", metavar="PATH")
-        if ceiling:
-            p.add_argument("--ceiling", type=int, choices=(2, 3), default=3)
         p.set_defaults(fn=fn)
         return p
 
@@ -380,37 +376,32 @@ def _build_parser():
     p = command("fdinfo", _cmd_fdinfo, "format/degree and P-format")
     p.add_argument("file")
 
-    p = command("cad", _cmd_cad, "compatible cylindrical decomposition",
-                ceiling=True)
+    p = command("cad", _cmd_cad, "compatible cylindrical decomposition")
     p.add_argument("files", nargs="+")
     p.add_argument("--stats", action="store_true")
     p.add_argument("--approx", type=_nonnegative, default=0, metavar="K")
 
-    p = command("components", _cmd_components, "connected components",
-                ceiling=True)
+    p = command("components", _cmd_components, "connected components")
     p.add_argument("file")
 
     p = command("bound-check", _cmd_bound_check,
-                "component-count growth check", ceiling=True)
+                "component-count growth check")
     p.add_argument("files", nargs="+")
     p.add_argument("--cap", required=True)
 
-    p = command("stratify", _cmd_stratify, "smooth strata by dimension",
-                ceiling=True)
+    p = command("stratify", _cmd_stratify, "smooth strata by dimension")
     p.add_argument("file")
 
     p = command("triangulate", _cmd_triangulate,
-                "triangulate a closed bounded set", ceiling=True)
+                "triangulate a closed bounded set")
     p.add_argument("file")
     p.add_argument("subsets", nargs="*")
     p.add_argument("--off", metavar="PATH")
 
-    p = command("betti", _cmd_betti, "Betti numbers of a closed bounded set",
-                ceiling=True)
+    p = command("betti", _cmd_betti, "Betti numbers of a closed bounded set")
     p.add_argument("file")
 
-    p = command("choice", _cmd_choice, "definable choice function",
-                ceiling=True)
+    p = command("choice", _cmd_choice, "definable choice function")
     p.add_argument("file")
     p.add_argument("--ell", type=int, default=1)
     p.add_argument("--fiber", help="comma-separated fiber variable names")
@@ -420,8 +411,7 @@ def _build_parser():
     p = command("tree", _cmd_tree, "structure tree analysis")
     p.add_argument("file")
 
-    p = command("star", _cmd_star, "star representation / decomposition",
-                ceiling=True)
+    p = command("star", _cmd_star, "star representation / decomposition")
     p.add_argument("files", nargs="+")
     p.add_argument("--ccd", type=int, metavar="N",
                    help="decompose the first N coordinates")
@@ -430,8 +420,7 @@ def _build_parser():
                 "check a reduction witness")
     p.add_argument("file")
 
-    p = command("report", _cmd_report, "summary table over formula files",
-                ceiling=True)
+    p = command("report", _cmd_report, "summary table over formula files")
     p.add_argument("files", nargs="+")
 
     return top
@@ -453,7 +442,7 @@ def main(argv=None) -> int:
     except (RecursionError, MemoryError) as exc:
         print(f"resource limit: {exc!r}", file=sys.stderr)
         return 2
-    except NullifiedFibreError as exc:
+    except (NullifiedFibreError, RealAlgebraError) as exc:
         print(f"undecided: {exc}", file=sys.stderr)
         return 2
     except (ParseError, CADError, ValueError, KeyError) as exc:

@@ -56,6 +56,6 @@ def fd_of_formula(psi: Formula, env=None) -> FDPair:
                   sum(p.degree for p in pairs))
 
 
-def pformat_of_formula(psi: Formula, env=None) -> int:
+def pformat_of_formula(psi: Formula) -> int:
     """max of the formula's format and its parse-tree depth."""
-    return max(fd_of_formula(psi, env).format, psi.depth())
+    return max(fd_of_formula(psi).format, psi.depth())

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from .cad import (
     CADError,
-    DEFAULT_CEILING,
     compatible_decomposition,
     poly_sign_at,
 )
@@ -69,17 +68,16 @@ def star_union(*reps) -> StarRep:
     return StarRep(entries)
 
 
-def to_star(X: Formula, fd=None, ceiling=DEFAULT_CEILING) -> StarRep:
+def to_star(X: Formula) -> StarRep:
     """Star representation of a set: one entry per connected component.
 
-    Each entry's source is X itself and its FD the given (or computed)
-    one, so the star degree is the component count times the degree.  The
-    empty set keeps a single entry.
+    Each entry's source is X itself and its FD that of X, so the star
+    degree is the component count times the degree.  The empty set keeps
+    a single entry.
     """
-    if fd is None:
-        fd = fd_of_formula(X)
+    fd = fd_of_formula(X)
     ell = len(X.free_vars())
-    components = connected_components(X, ceiling=ceiling)
+    components = connected_components(X)
     n = max(len(components), 1)
     return StarRep([StarEntry(X, fd, i, ell) for i in range(n)])
 
@@ -160,7 +158,7 @@ def star_report(decomp) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def star_ccd(reps, n, ceiling=DEFAULT_CEILING):
+def star_ccd(reps, n):
     """Cylindrical decomposition of the first n coordinates compatible with
     every represented set.
 
@@ -191,8 +189,7 @@ def star_ccd(reps, n, ceiling=DEFAULT_CEILING):
             pads = [Atom(parse_poly(f"{v} - {v}^2"), ">")
                     for v in variables[k:]]
             sets.append(And([psi] + pads) if pads else psi)
-    full = compatible_decomposition(sets, variables=variables,
-                                    ceiling=ceiling)
+    full = compatible_decomposition(sets, variables=variables)
     out = full.layers()[n - 1]
     stars = {}
     for cell in out.cells:

@@ -19,7 +19,6 @@ from fractions import Fraction
 
 from .cad import (
     CADError,
-    DEFAULT_CEILING,
     build_stack,
     cell_formula,
     compatible_decomposition,
@@ -369,11 +368,11 @@ def _cells_formula(decomp, cell_paths):
     return psi, fd_of_formula(psi)
 
 
-def connected_components(X: Formula, ceiling=DEFAULT_CEILING, decomp=None):
+def connected_components(X: Formula, decomp=None):
     """Connected components of the set defined by X, as lists of cells with
     a defining formula and FD each."""
     if decomp is None:
-        decomp = compatible_decomposition([X], ceiling=ceiling)
+        decomp = compatible_decomposition([X])
     graph = adjacency(decomp)
     inside = [c.index_path for c in decomp.cells if c.memberships[0]]
     out = []
@@ -403,7 +402,7 @@ def _closed_variant(psi):
     return psi
 
 
-def check_component_bound(family, cap, ceiling=DEFAULT_CEILING) -> dict:
+def check_component_bound(family, cap) -> dict:
     """Count components across a degree-indexed family and fit the growth.
 
     family maps a degree index to a formula.  The fitted exponent is the
@@ -415,8 +414,7 @@ def check_component_bound(family, cap, ceiling=DEFAULT_CEILING) -> dict:
     """
     if not family:
         raise TopologyError("empty family")
-    counts = {D: len(connected_components(family[D], ceiling=ceiling))
-              for D in sorted(family)}
+    counts = {D: len(connected_components(family[D])) for D in sorted(family)}
     xs = [math.log(D) for D in counts if D >= 1]
     ys = [math.log(max(counts[D], 1)) for D in counts if D >= 1]
     if len(set(xs)) >= 2:
@@ -426,7 +424,7 @@ def check_component_bound(family, cap, ceiling=DEFAULT_CEILING) -> dict:
     else:
         exponent = 0.0
     top = max(family)
-    witness = _maxima_witness(family[top], ceiling)
+    witness = _maxima_witness(family[top])
     return {
         "counts": counts,
         "exponent": exponent,
@@ -467,7 +465,7 @@ def local_maxima_formula(X: Formula, functional) -> Formula:
     return validate(And([X, cond]))
 
 
-def _maxima_witness(X, ceiling):
+def _maxima_witness(X):
     closed = _closed_variant(X)
     ell = len(X.free_vars())
     functionals = [[1] + [0] * (ell - 1), [-1] + [0] * (ell - 1)]
@@ -479,7 +477,7 @@ def _maxima_witness(X, ceiling):
     for f in functionals:
         maxima = local_maxima_formula(closed, f)
         try:
-            d = compatible_decomposition([closed, maxima], ceiling=ceiling)
+            d = compatible_decomposition([closed, maxima])
         except CADError as exc:
             best = best or {"functional": f, "error": str(exc)}
             continue
@@ -488,21 +486,19 @@ def _maxima_witness(X, ceiling):
         dim_m = max((c.dim for c in max_cells), default=-1)
         graph = adjacency(d)
         inside = [c.index_path for c in d.cells if c.memberships[0]]
-        met = 0
-        for group in graph.components(restrict=inside):
-            if any(c.index_path in group for c in max_cells):
-                met += 1
-        total = len(graph.components(restrict=inside))
+        groups = graph.components(restrict=inside)
+        met = sum(any(c.index_path in group for c in max_cells)
+                  for group in groups)
         record = {
             "functional": f,
             "set_dimension": dim_x,
             "maxima_dimension": dim_m,
             "dimension_drops": dim_m < dim_x,
             "components_met": met,
-            "components_total": total,
+            "components_total": len(groups),
             "closed_variant": True,
         }
-        if record["dimension_drops"] and met == total:
+        if record["dimension_drops"] and met == len(groups):
             return record
         if best is None or met > best.get("components_met", -1):
             best = record
@@ -527,13 +523,13 @@ class Stratum:
         return f"Stratum(dim {self.dim}, {len(self.cells)} cells)"
 
 
-def stratify(X: Formula, ceiling=DEFAULT_CEILING):
+def stratify(X: Formula):
     """Partition of X into smooth pieces, one stratum per dimension.
 
     The cells of a compatible decomposition are analytic graphs and bands,
     so grouping those inside X by dimension yields embedded submanifolds.
     """
-    decomp = compatible_decomposition([X], ceiling=ceiling)
+    decomp = compatible_decomposition([X])
     groups = {}
     for c in decomp.cells:
         if c.memberships[0]:
@@ -633,10 +629,10 @@ def betti(K: SimplicialComplex):
 # ---------------------------------------------------------------------------
 
 
-def _vertex_coords(cell, prec=40):
-    """Midpoints of 2^-prec enclosures of the cell's sample coordinates,
-    and whether they are the sample itself (every coordinate rational)."""
-    coords = tuple(sum(c.approx(prec)) / 2 for c in cell.coords)
+def _vertex_coords(cell):
+    """Midpoints of 2^-40 enclosures of the cell's sample coordinates, and
+    whether they are the sample itself (every coordinate rational)."""
+    coords = tuple(sum(c.approx(40)) / 2 for c in cell.coords)
     return coords, all(c.as_fraction() is not None for c in cell.coords)
 
 
@@ -661,7 +657,7 @@ def _check_closed_bounded(decomp, graph, inside):
                 "outside the set")
 
 
-def triangulate(X: Formula, subsets=(), ceiling=DEFAULT_CEILING):
+def triangulate(X: Formula, subsets=()):
     """Simplicial complex for a closed bounded set in one or two variables.
 
     Zero-cells become vertices; one-cells are subdivided at their sample
@@ -672,7 +668,7 @@ def triangulate(X: Formula, subsets=(), ceiling=DEFAULT_CEILING):
     Simplices inherit the labels of the originating cell.
     """
     subsets = list(subsets)
-    decomp = compatible_decomposition([X] + subsets, ceiling=ceiling)
+    decomp = compatible_decomposition([X] + subsets)
     if decomp.level > 2:
         raise TopologyError("triangulation supports at most two variables")
     graph = adjacency(decomp)

@@ -11,8 +11,8 @@ sum of the leaf degrees.
 from __future__ import annotations
 
 import itertools
-import json
 
+from .calculus import SHARP_SYSTEM, Leaf, Node, derive_fd
 from .fd import FDPair
 from .formula import (
     And,
@@ -132,22 +132,18 @@ def _check(t, env):
 
 
 def omega_fd(t: StructureTree, env) -> FDPair:
-    """The tree's format/degree: degree is the sum over leaves, and only
+    """The tree's format/degree: its Sharp derivation, with leaf FDs from
+    the environment, so the degree is the sum over leaves and only
     product-with-a-line nodes add one to the format."""
     _check(t, env)
 
     def go(node):
         if isinstance(node, TLeaf):
-            _, fd = env.lookup(node.name)
-            return fd
-        fds = [go(c) for c in node.children]
-        fmt = max(f.format for f in fds)
-        deg = sum(f.degree for f in fds)
-        if node.op in ("times_R_right", "times_R_left"):
-            fmt += 1
-        return FDPair(fmt, deg)
+            return Leaf(node.name, env.lookup(node.name)[1])
+        op = "projection" if node.op == "project_last" else node.op
+        return Node(op, [go(c) for c in node.children])
 
-    return go(t.root)
+    return derive_fd(go(t.root), SHARP_SYSTEM)
 
 
 # ---------------------------------------------------------------------------
@@ -258,11 +254,3 @@ def tree_from_json(doc) -> StructureTree:
         raise TreeError(f"unsupported tree schema version {doc.get('version')}")
     return StructureTree(_node_from_json(doc["root"]),
                          slanted=bool(doc.get("slanted", False)))
-
-
-def loads(text: str) -> StructureTree:
-    return tree_from_json(json.loads(text))
-
-
-def dumps(t: StructureTree) -> str:
-    return json.dumps(tree_to_json(t), sort_keys=True)

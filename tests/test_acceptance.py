@@ -288,7 +288,7 @@ def test_06_choice_membership_and_partition():
             truth = {k: decide(r, {"l": lam}, ceiling=6)
                      for k, r in regions.items()}
             assert sum(truth.values()) == 1, (text, lam)
-            (letter,) = fn.case_at([lam])
+            (letter,) = fn.evaluate([lam])[1]
             assert truth[letter], (text, lam)
 
 

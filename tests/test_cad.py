@@ -149,7 +149,7 @@ def test_decide_quantified_statements():
 
 def test_three_variable_decomposition():
     X = parse_formula("x^2 + y^2 + z^2 - 1 < 0")
-    decomp = compatible_decomposition([X], ceiling=3)
+    decomp = compatible_decomposition([X])
     inside = [c for c in decomp.cells if c.memberships[0]]
     assert len(inside) == 1 and inside[0].dim == 3
     rep = decomposition_report(decomp)
@@ -159,9 +159,9 @@ def test_three_variable_decomposition():
 def test_ceiling_enforced():
     with pytest.raises(CeilingError):
         compatible_decomposition(
-            [parse_formula("w^2 + x^2 + y^2 + z^2 - 1 < 0")], ceiling=3)
+            [parse_formula("w^2 + x^2 + y^2 + z^2 - 1 < 0")])
     with pytest.raises(CADError):
-        decide(parse_formula("x > 0"), {}, ceiling=3)
+        decide(parse_formula("x > 0"), {})
 
 
 def test_projection_rejects_unproven_chain_in_four_variables():

@@ -103,7 +103,7 @@ def test_empty_fiber_detected():
 
 def test_choice_certifies_nonemptiness():
     fn = choice_1d(parse_formula("x - l > 0"), fiber_vars=["x"])
-    assert fn.case_at([Fraction(0)]) == ["C"]
+    assert fn.evaluate([Fraction(0)])[1] == ["C"]
     with pytest.raises(ChoiceError):
         choice_1d(parse_formula("x^2 + l^2 < 0"), fiber_vars=["x"])
 
@@ -145,7 +145,7 @@ def test_region_formula_matches_case_letter():
     regions = region_formulas(total, "x")
     fn = choice_1d(total, fiber_vars=["x"])
     lam = Fraction(1)
-    (letter,) = fn.case_at([lam])
+    (letter,) = fn.evaluate([lam])[1]
     assert decide(regions[letter], {"l": lam}, ceiling=6)
 
 

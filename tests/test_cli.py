@@ -9,7 +9,9 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from sharpcells import cli
 from sharpcells.cli import main
+from sharpcells.realalg import RealAlgebraError
 
 ROOT = Path(__file__).parents[1]
 
@@ -77,6 +79,11 @@ def test_flags_only_where_they_are_read(circle, capsys):
         main(["choice", circle, "--strict"])
     assert exc.value.code == 3
     assert "unrecognized arguments: --strict" in capsys.readouterr().err
+    # the three-variable limit is fixed, so no subcommand takes --ceiling
+    with pytest.raises(SystemExit) as exc:
+        main(["cad", circle, "--ceiling", "3"])
+    assert exc.value.code == 3
+    assert "unrecognized arguments: --ceiling" in capsys.readouterr().err
 
 
 def test_components_and_betti(circle, capsys):
@@ -124,11 +131,24 @@ def test_ceiling_exceeded_is_resource_error(tmp_path, capsys):
     code, _, err = run(["cad", str(f)], capsys)
     assert code == 2 and "ceiling" in err
     # choice certifies its fibers by a decide in every variable
-    f = tmp_path / "two.fml"
-    f.write_text("x^2 + y^2 - l^2 - 1 < 0")
-    code, out, err = run(["choice", str(f), "--ell", "2", "--fiber", "x,y",
-                          "--ceiling", "2"], capsys)
+    f = tmp_path / "three.fml"
+    f.write_text("x^2 + y^2 + z^2 - l^2 - 1 < 0")
+    code, out, err = run(["choice", str(f), "--ell", "3", "--fiber", "x,y,z"],
+                         capsys)
     assert code == 2 and "ceiling exceeded" in err and out == ""
+
+
+def test_nonconverging_arithmetic_is_resource_error(circle, capsys,
+                                                    monkeypatch):
+    # a refinement loop that gives up raises RealAlgebraError, an
+    # ArithmeticError: exit 2 with one line, not a traceback
+    def give_up(*args, **kwargs):
+        raise RealAlgebraError("root comparison failed to converge")
+
+    monkeypatch.setattr(cli, "connected_components", give_up)
+    code, out, err = run(["components", circle], capsys)
+    assert code == 2 and out == ""
+    assert err == "undecided: root comparison failed to converge\n"
 
 
 def test_choice_evaluation(tmp_path, capsys):

@@ -57,3 +57,59 @@ def test_no_unused_module_level_imports():
         read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         unused += [(path.name, name) for name in bound if name not in read]
     assert unused == []
+
+
+def _calls(paths):
+    """Per callee name, the largest positional argument count and the
+    keywords of its calls; a starred argument stands for every position
+    and a ** argument for every keyword."""
+    positions, keywords = {}, {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            n = len(node.args)
+            if any(isinstance(a, ast.Starred) for a in node.args):
+                n = float("inf")
+            positions[name] = max(positions.get(name, 0), n)
+            names = {k.arg for k in node.keywords}
+            if None in names:
+                names = {"**"}
+            keywords.setdefault(name, set()).update(names)
+    return positions, keywords
+
+
+def test_every_optional_parameter_is_set_somewhere():
+    # a defaulted parameter that no call passes, by keyword or by position,
+    # is a knob nobody turns; an __init__ is called by its class name
+    root = Path(__file__).parents[1]
+    paths = [p for d in (SRC, root / "tests", root / "demos",
+                         root / "perfbench") for p in sorted(d.glob("*.py"))]
+    positions, keywords = _calls(paths)
+    unset = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                owner.update({id(f): cls.name for f in cls.body})
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            name = fn.name
+            params = fn.args.posonlyargs + fn.args.args
+            if id(fn) in owner:
+                params = params[1:]
+                if name == "__init__":
+                    name = owner[id(fn)]
+            defaulted = [(i, a.arg) for i, a in enumerate(params)
+                         if i >= len(params) - len(fn.args.defaults)]
+            defaulted += [(None, a.arg) for a, d in
+                          zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d]
+            kws = keywords.get(name, set())
+            unset += [(path.name, name, arg) for i, arg in defaulted
+                      if arg not in kws and "**" not in kws
+                      and (i is None or positions.get(name, 0) <= i)]
+    assert unset == []
