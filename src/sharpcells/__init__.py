@@ -75,7 +75,6 @@ from .topology import (
     betti,
     check_component_bound,
     connected_components,
-    local_maxima_formula,
     stratify,
     triangulate,
 )

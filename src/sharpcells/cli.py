@@ -23,8 +23,8 @@ from .cad import (
     decomposition_report,
 )
 from .choice import choice, choice_to_json
-from .fd import fd_of_formula, pformat_of_formula
-from .formula import to_text
+from .fd import FDPair, fd_of_formula, pformat_of_formula
+from .formula import Environment, to_text
 from .parser import ParseError, parse_formula
 from .realalg import RealAlgebraError
 from .star import star_ccd, star_fd, star_report, star_to_json, to_star
@@ -139,18 +139,18 @@ def _cmd_cad(args):
     lines = [f"{len(decomp.cells)} cells over "
              f"({', '.join(decomp.variables)})"]
     if args.stats:
-        rep = decomposition_report(decomp)
+        max_fd = max(tuple(entry["fd"]) for entry in doc["cells"])
         doc["stats"] = {
             "level": decomp.level,
             "basis_size": len(decomp.basis),
             "max_degree": max((p.total_degree() for p in decomp.basis),
                               default=0),
-            "cells": rep["cells"],
-            "max_cell_fd": rep["max_fd"],
+            "cells": len(doc["cells"]),
+            "max_cell_fd": max_fd,
         }
         lines.append(f"stats: level {decomp.level}, "
                      f"{len(decomp.basis)} basis polynomials, "
-                     f"max cell FD {tuple(rep['max_fd'])}, "
+                     f"max cell FD {max_fd}, "
                      f"wall {elapsed:.3f}s")
     _emit(args, doc, lines)
     return 0
@@ -170,9 +170,9 @@ def _cmd_components(args):
 
 def _cmd_bound_check(args):
     family = {i + 1: _load_formula(p) for i, p in enumerate(args.files)}
-    rep = check_component_bound(family, Fraction(args.cap))
+    rep = check_component_bound(family, args.cap)
     doc = {"version": 1, **rep}
-    doc["cap"] = str(Fraction(args.cap))
+    doc["cap"] = str(args.cap)
     lines = ["index  components"]
     for d, n in sorted(rep["counts"].items()):
         lines.append(f"{d:>5}  {n}")
@@ -229,30 +229,28 @@ def _cmd_choice(args):
     lines = [f"parameters: {' '.join(fn.param_vars) or '(none)'}",
              f"fiber: {' '.join(fn.fiber_vars)}",
              f"FD {fn.fd.as_tuple()}"]
-    if args.at:
-        values = [Fraction(tok) for tok in args.at.split(",")]
-        coords, cases = fn.evaluate(values)
+    if args.at is not None:
+        at = [str(v) for v in args.at]
+        coords, cases = fn.evaluate(args.at)
         doc["evaluation"] = {
-            "at": [str(v) for v in values],
+            "at": at,
             "cases": cases,
             "coordinates": [_num_json(c, args.approx) for c in coords],
         }
         shown = ", ".join(
             str(c.as_fraction()) if c.as_fraction() is not None
             else f"~{float(c):.6g}" for c in coords)
-        lines.append(f"g({args.at}) = ({shown})  cases {''.join(cases)}")
+        lines.append(f"g({','.join(at)}) = ({shown})  cases {''.join(cases)}")
     _emit(args, doc, lines)
     return 0
 
 
 def _cmd_tree(args):
-    from .formula import Environment
     doc_in = json.loads(_read(args.file))
     t = trees.tree_from_json(doc_in["tree"] if "tree" in doc_in else doc_in)
     env = Environment()
     for name, rec in doc_in.get("leaves", {}).items():
         leaf = parse_formula(rec["formula"])
-        from .fd import FDPair
         env.register(name, leaf, FDPair(*rec["fd"]))
     violations = trees.validate_tree(t, env)
     if violations:
@@ -293,7 +291,6 @@ def _cmd_reduce_check(args):
     witness = calculus.witness_from_json(doc_in["witness"])
     system = calculus.AxiomSystem(doc_in.get("system", "Sharp"))
     corpus = []
-    from .fd import FDPair
     for entry in doc_in["corpus"]:
         corpus.append((FDPair(*entry["source"]),
                        calculus.derivation_from_json(entry["derivation"])))
@@ -357,6 +354,17 @@ def _nonnegative(text):
     return int(text)
 
 
+def _rational(text):
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):  # argparse maps only ValueError
+        raise argparse.ArgumentTypeError(f"expected a rational, got {text!r}")
+
+
+def _rationals(text):
+    return [_rational(tok) for tok in text.split(",")]
+
+
 def _build_parser():
     top = _Parser(
         prog="sharpcells",
@@ -387,7 +395,7 @@ def _build_parser():
     p = command("bound-check", _cmd_bound_check,
                 "component-count growth check")
     p.add_argument("files", nargs="+")
-    p.add_argument("--cap", required=True)
+    p.add_argument("--cap", type=_rational, required=True)
 
     p = command("stratify", _cmd_stratify, "smooth strata by dimension")
     p.add_argument("file")
@@ -405,7 +413,8 @@ def _build_parser():
     p.add_argument("file")
     p.add_argument("--ell", type=int, default=1)
     p.add_argument("--fiber", help="comma-separated fiber variable names")
-    p.add_argument("--at", help="comma-separated rational parameter values")
+    p.add_argument("--at", type=_rationals,
+                   help="comma-separated rational parameter values")
     p.add_argument("--approx", type=_nonnegative, default=0, metavar="K")
 
     p = command("tree", _cmd_tree, "structure tree analysis")

@@ -25,18 +25,7 @@ from .cad import (
     restrict,
 )
 from .fd import fd_of_formula
-from .formula import (
-    And,
-    Atom,
-    Exists,
-    Forall,
-    Formula,
-    Not,
-    Or,
-    instantiate,
-    validate,
-)
-from .parser import parse_poly
+from .formula import Formula, Or
 from .poly import resultant
 from .realalg import (
     QQ,
@@ -387,30 +376,12 @@ def connected_components(X: Formula, decomp=None):
 # ---------------------------------------------------------------------------
 
 
-def _closed_variant(psi):
-    """Strict atoms relaxed to their closures, for the witness check."""
-    if isinstance(psi, Atom):
-        if psi.sign == ">":
-            return Not(Atom(psi.poly, "<"))
-        if psi.sign == "<":
-            return Not(Atom(psi.poly, ">"))
-        return psi
-    if isinstance(psi, (And, Or)):
-        return type(psi)([_closed_variant(c) for c in psi.children])
-    if isinstance(psi, Not):
-        return Not(_closed_variant(psi.child))
-    return psi
-
-
 def check_component_bound(family, cap) -> dict:
     """Count components across a degree-indexed family and fit the growth.
 
-    family maps a degree index to a formula.  The fitted exponent is the
-    least-squares slope of log(count) against log(index), and the check
-    passes when it stays at or below the cap.  For the largest index a
-    local-maxima witness is probed on the closed variant of the set: the
-    report records whether its cells drop in dimension and how many
-    components of the set it meets.
+    family maps a degree index to a formula.  The report holds each set's
+    component count and the least-squares slope of log(count) against
+    log(index); the check passes when the slope is at most the cap.
     """
     if not family:
         raise TopologyError("empty family")
@@ -423,86 +394,12 @@ def check_component_bound(family, cap) -> dict:
                     / sum((x - mx) ** 2 for x in xs))
     else:
         exponent = 0.0
-    top = max(family)
-    witness = _maxima_witness(family[top])
     return {
         "counts": counts,
         "exponent": exponent,
         "cap": float(cap),
         "passed": exponent <= float(cap),
-        "witness": witness,
     }
-
-
-def _dist2_text(us, vs):
-    return " + ".join(f"({u} - {v})^2" for u, v in zip(us, vs))
-
-
-def local_maxima_formula(X: Formula, functional) -> Formula:
-    """The set of local maxima of a linear functional restricted to X."""
-    xs = list(X.free_vars())
-    functional = [Fraction(c) for c in functional]
-    ys = [f"_m{j}" for j in range(len(xs))]
-    eps = "_me"
-    X_y = instantiate(X, ys, "_mxb")
-    dist2 = parse_poly(f"{_dist2_text(ys, xs)} - {eps}^2")
-    terms = []
-    for c, y, x in zip(functional, ys, xs):
-        if c == 0:
-            continue
-        cs = f"{c.numerator}" if c.denominator == 1 else \
-            f"{c.numerator}/{c.denominator}"
-        terms.append(f"({cs})*({y} - {x})")
-    if not terms:
-        # zero functional: every point of X is a local maximum
-        return validate(X)
-    gain = parse_poly(" + ".join(terms))
-    near = And([X_y, Atom(dist2, "<")])
-    inner = Or([Not(near), Not(Atom(gain, ">"))])
-    for y in reversed(ys):
-        inner = Forall(y, inner)
-    cond = Exists(eps, And([Atom(parse_poly(eps), ">"), inner]))
-    return validate(And([X, cond]))
-
-
-def _maxima_witness(X):
-    closed = _closed_variant(X)
-    ell = len(X.free_vars())
-    functionals = [[1] + [0] * (ell - 1), [-1] + [0] * (ell - 1)]
-    if ell >= 2:
-        functionals.append([0] * (ell - 1) + [1])
-        functionals.append([0] * (ell - 1) + [-1])
-        functionals.append([1] * ell)
-    best = None
-    for f in functionals:
-        maxima = local_maxima_formula(closed, f)
-        try:
-            d = compatible_decomposition([closed, maxima])
-        except CADError as exc:
-            best = best or {"functional": f, "error": str(exc)}
-            continue
-        dim_x = max((c.dim for c in d.cells if c.memberships[0]), default=-1)
-        max_cells = [c for c in d.cells if c.memberships[1]]
-        dim_m = max((c.dim for c in max_cells), default=-1)
-        graph = adjacency(d)
-        inside = [c.index_path for c in d.cells if c.memberships[0]]
-        groups = graph.components(restrict=inside)
-        met = sum(any(c.index_path in group for c in max_cells)
-                  for group in groups)
-        record = {
-            "functional": f,
-            "set_dimension": dim_x,
-            "maxima_dimension": dim_m,
-            "dimension_drops": dim_m < dim_x,
-            "components_met": met,
-            "components_total": len(groups),
-            "closed_variant": True,
-        }
-        if record["dimension_drops"] and met == len(groups):
-            return record
-        if best is None or met > best.get("components_met", -1):
-            best = record
-    return best
 
 
 # ---------------------------------------------------------------------------

@@ -179,8 +179,13 @@ def test_bound_check(tmp_path, capsys):
         p = tmp_path / f"f{d}.fml"
         p.write_text(f"{poly} = 0")
         files.append(str(p))
-    code, out, _ = run(["bound-check", *files, "--cap", "3/2"], capsys)
+    dest = str(tmp_path / "out.json")
+    code, out, _ = run(["bound-check", *files, "--cap", "3/2",
+                        "--json", dest], capsys)
     assert code == 0 and "pass" in out
+    # the report holds what the check decides, and nothing else
+    assert set(json.load(open(dest))) == {"version", "counts", "exponent",
+                                          "cap", "passed"}
 
 
 def test_tree_subcommand(tmp_path, capsys):
@@ -216,6 +221,16 @@ def test_malformed_arguments_are_usage_errors(circle, capsys):
         main(["cad", circle, "--approx", "-2"])
     assert exc.value.code == 3
     assert "non-negative integer" in capsys.readouterr().err
+    # rationals: a zero denominator, a non-number, an empty value
+    for argv in (["bound-check", circle, "--cap", "1/0"],
+                 ["bound-check", circle, "--cap", "abc"],
+                 ["choice", circle, "--fiber", "x", "--at", "1/0"],
+                 ["choice", circle, "--fiber", "x", "--at=1,"],
+                 ["choice", circle, "--fiber", "x", "--at="]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 3
+        assert "expected a rational" in capsys.readouterr().err
 
 
 def test_star_ccd(circle, capsys):

@@ -28,7 +28,6 @@ from sharpcells.topology import (
     check_component_bound,
     complex_to_json,
     connected_components,
-    local_maxima_formula,
     stratify,
     triangulate,
 )
@@ -185,35 +184,21 @@ def test_grid_oracle_agreement():
 
 
 def test_check_component_bound():
-    family = {}
+    roots = {}
     for d in range(1, 6):
         text = " * ".join(f"(x - {i})" for i in range(1, d + 1))
-        family[d] = parse_formula(f"{text} = 0")
-    rep = check_component_bound(family, Fraction(3, 2))
-    assert rep["passed"]
-    assert rep["counts"] == {d: d for d in range(1, 6)}
-    assert rep["exponent"] == pytest.approx(1.0, abs=0.05)
-    assert rep["witness"]["components_met"] == rep["witness"]["components_total"]
-    # an impossible cap must fail
-    assert not check_component_bound(family, Fraction(1, 10))["passed"]
-
-
-def test_local_maxima_of_interval():
-    seg = parse_formula("(x > 0) and (1 - x > 0)")
-    top = local_maxima_formula(seg, [1])
-    # sup is not attained on the open interval
-    assert not decide(top, {"x": Fraction(1, 2)}, ceiling=4)
-    closed = parse_formula("(not (x < 0)) and (not (x - 1 > 0))")
-    top = local_maxima_formula(closed, [1])
-    assert decide(top, {"x": Fraction(1)}, ceiling=4)
-    assert not decide(top, {"x": Fraction(1, 2)}, ceiling=4)
-
-
-def test_local_maxima_zero_functional():
-    X = parse_formula("x^2 + y^2 - 1 < 0")
-    every = local_maxima_formula(X, [0, 0])
-    # the zero functional is maximal everywhere on X
-    assert decide(every, {"x": Fraction(0), "y": Fraction(0)}, ceiling=4)
+        roots[d] = parse_formula(f"{text} = 0")
+    # |x| <= 2, then |x| <= 2 with |x| >= 1: closed sets written with `not`
+    segments = {1: parse_formula("not (x^2 - 4 > 0)"),
+                2: parse_formula("not (x^2 - 4 > 0) and not (x^2 - 1 < 0)")}
+    for family, counts in [(roots, {d: d for d in range(1, 6)}),
+                           (segments, {1: 1, 2: 2})]:
+        rep = check_component_bound(family, Fraction(3, 2))
+        assert rep["passed"]
+        assert rep["counts"] == counts
+        assert rep["exponent"] == pytest.approx(1.0, abs=0.05)
+        # an impossible cap must fail
+        assert not check_component_bound(family, Fraction(1, 10))["passed"]
 
 
 def test_stratify_circle():
