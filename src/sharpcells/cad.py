@@ -40,8 +40,8 @@ from .realalg import (
     QQ,
     Num,
     RootHandle,
+    _changes_sign,
     isolate_roots,
-    isolate_squarefree,
     num_in,
     num_join,
     pdeg,
@@ -234,28 +234,6 @@ def _eliminate(polys, order, keep):
 # ---------------------------------------------------------------------------
 
 
-def _root_handles(field, up, factor=True):
-    """Root handles for a univariate coefficient list over a field.
-
-    Over the rationals factor=True factors the polynomial first, so rational
-    roots come back exact and every other handle carries an irreducible
-    polynomial.  factor=False isolates the roots of the squarefree part
-    directly: the handles order and separate the roots exactly, but their
-    polynomials may be reducible.  Over extension fields roots are always
-    isolated directly.
-    """
-    if field is not QQ or not factor:
-        return isolate_roots(field, up)
-    handles = []
-    for coeffs in factor_univariate(up):
-        if len(coeffs) == 2:
-            b, a = coeffs
-            handles.append(RootHandle.rational(QQ, -b / a))
-        else:
-            handles.extend(isolate_squarefree(coeffs))
-    return handles
-
-
 def _is_square(q: Fraction):
     if q < 0:
         return None
@@ -268,7 +246,7 @@ def _is_square(q: Fraction):
 
 def _irreducible_root(handle):
     """The same rational-field root as a rational handle or as one whose
-    polynomial is irreducible, for handles isolated without factoring."""
+    polynomial is irreducible."""
     sqf = handle.sqf
     if pdeg(sqf) == 1:
         return RootHandle.rational(QQ, -sqf[0] / sqf[1])
@@ -281,24 +259,19 @@ def _irreducible_root(handle):
                 if handle.lo <= r <= handle.hi:
                     return RootHandle.rational(QQ, r)
         return handle
-    # pick the irreducible factor this root actually satisfies
+    # the one irreducible factor that changes sign across the interval
     for coeffs in factor_univariate(sqf):
-        if handle.vanishes(coeffs):
+        if _changes_sign(QQ, coeffs, handle.lo, handle.hi):
             if len(coeffs) == 2:
                 return RootHandle.rational(QQ, -coeffs[0] / coeffs[1])
             return RootHandle(QQ, coeffs, handle.lo, handle.hi)
     return handle
 
 
-def _section_value(field, handle, factored):
-    """Exact Num for the root a handle isolates over a field.
-
-    Rational roots stay in the field; any other root becomes the generator
-    of an extension.  Handles of unfactored rational stacks are re-examined
-    first, so a root of a reducible polynomial is not extended needlessly.
-    """
-    if field is QQ and not factored and not handle.is_rational():
-        handle = _irreducible_root(handle)
+def _section_value(field, handle):
+    """Exact Num for the root a handle isolates over a field: a rational
+    root stays in the field, any other root becomes the generator of an
+    extension."""
     if handle.is_rational():
         return Num(field, field.from_fraction(handle.exact))
     ext = handle.as_extension()
@@ -312,16 +285,18 @@ def _section_value(field, handle, factored):
 
 class Section:
     """One section of a stack: a root handle over the stack's field and,
-    on first use, its exact value."""
+    on first use, its exact value.  Over QQ that first use replaces the
+    handle by _irreducible_root's, for value and later readers alike."""
 
-    def __init__(self, field, handle, factored):
+    def __init__(self, field, handle):
         self.field = field
         self.handle = handle
-        self.factored = factored
 
     @cached_property
     def value(self):
-        return _section_value(self.field, self.handle, self.factored)
+        if self.field is QQ and not self.handle.is_rational():
+            self.handle = _irreducible_root(self.handle)
+        return _section_value(self.field, self.handle)
 
 
 class Stack:
@@ -379,15 +354,10 @@ def restrict(field, poly, values, free=-1):
     return ptrim(field, out)
 
 
-def build_stack(field, coords, basis, factor=True):
-    """The stack of a basis over one base point of the given field.
-
-    factor=True isolates roots through factoring (see _root_handles), as
-    the decomposition, locate and quantifier test points need it.
-    factor=False skips the factoring, which is cheaper for stacks built once
-    over a random point; the section values are then re-examined for
-    reducible polynomials when they are first read.
-    """
+def build_stack(field, coords, basis):
+    """The stack of a basis over one base point of the given field: the
+    roots of each restricted polynomial's squarefree part, isolated by
+    isolate_roots without factoring (see Section for when it factors)."""
     values = [num_in(field, c).data for c in coords]
     upolys = []
     handles = []
@@ -395,9 +365,8 @@ def build_stack(field, coords, basis, factor=True):
         up = restrict(field, poly, values)
         upolys.append(up if up else None)  # None: vanishes on the fiber
         if len(up) >= 2:
-            handles.extend(_root_handles(field, up, factor=factor))
-    sections = [Section(field, group[0], factor)
-                for group in sort_roots(handles)]
+            handles.extend(isolate_roots(field, up))
+    sections = [Section(field, group[0]) for group in sort_roots(handles)]
     return Stack(field, coords, basis, upolys, sections)
 
 
@@ -500,8 +469,8 @@ def sample_in_cell(decomp, cell, rng, count=1):
     Sector coordinates are drawn as random rationals.  While every
     coordinate so far is a section, the point is the cell's own base sample
     and the decomposition's stack over it is reused.  Past the first sector
-    coordinate the stack is rebuilt over the random base point without
-    factoring, and its sections are re-solved exactly.
+    coordinate the stack is rebuilt over the random base point, like every
+    other stack, and its sections are re-solved exactly.
     """
     layers = decomp.layers()
     out = []
@@ -513,8 +482,7 @@ def sample_in_cell(decomp, cell, rng, count=1):
             if on_sample:
                 stack = layers[k].stacks[cell.index_path[:k]]
             else:
-                stack = build_stack(field, coords, layers[k].basis,
-                                     factor=False)
+                stack = build_stack(field, coords, layers[k].basis)
             sections = stack.sections
             if idx % 2 == 1:
                 value = sections[idx // 2].value

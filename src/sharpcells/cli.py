@@ -347,11 +347,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(3, f"{self.prog}: error: {message}\n")
 
 
-def _nonnegative(text):
+def _digits(text):
+    """K for --approx: a non-negative integer up to sys.float_info.dig,
+    the significant digits of the float an approximation is."""
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(
             f"expected a non-negative integer, got {text!r}")
-    return int(text)
+    k = int(text)
+    if k > sys.float_info.dig:
+        raise argparse.ArgumentTypeError(
+            f"expected at most {sys.float_info.dig} digits, got {k}")
+    return k
 
 
 def _rational(text):
@@ -387,7 +393,7 @@ def _build_parser():
     p = command("cad", _cmd_cad, "compatible cylindrical decomposition")
     p.add_argument("files", nargs="+")
     p.add_argument("--stats", action="store_true")
-    p.add_argument("--approx", type=_nonnegative, default=0, metavar="K")
+    p.add_argument("--approx", type=_digits, default=0, metavar="K")
 
     p = command("components", _cmd_components, "connected components")
     p.add_argument("file")
@@ -415,7 +421,7 @@ def _build_parser():
     p.add_argument("--fiber", help="comma-separated fiber variable names")
     p.add_argument("--at", type=_rationals,
                    help="comma-separated rational parameter values")
-    p.add_argument("--approx", type=_nonnegative, default=0, metavar="K")
+    p.add_argument("--approx", type=_digits, default=0, metavar="K")
 
     p = command("tree", _cmd_tree, "structure tree analysis")
     p.add_argument("file")

@@ -249,7 +249,7 @@ def isolate_roots(field, p):
     if field is QQ:
         if pdeg(p) == 1:
             return [RootHandle.rational(QQ, -Fraction(p[0]) / p[1])]
-        return isolate_squarefree(squarefree_univariate(p))
+        return _isolate_squarefree(squarefree_univariate(p))
     sqf = squarefree(field, p)
     chain = sturm_chain(field, sqf)
     bound = root_bound(field, sqf)
@@ -394,9 +394,9 @@ def _positive_roots(c):
     return out
 
 
-def isolate_squarefree(p):
-    """isolate_roots over QQ for a p already known to be squarefree, such
-    as an irreducible factor: the integer kernel alone."""
+def _isolate_squarefree(p):
+    """isolate_roots over QQ for a p already known to be squarefree: the
+    integer kernel alone."""
     ints = primitive_integers(p)
     sqf = [Fraction(c) for c in ints]
     rest, found = ints, []

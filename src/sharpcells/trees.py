@@ -19,6 +19,7 @@ from .formula import (
     Atom,
     Exists,
     Forall,
+    FormulaError,
     Not,
     Or,
     instantiate,
@@ -73,7 +74,7 @@ def _ambient(node, env, path, violations):
     if isinstance(node, TLeaf):
         try:
             formula, _ = env.lookup(node.name)
-        except Exception:
+        except FormulaError:
             violations.append(f"{path}: unresolved leaf {node.name!r}")
             return None
         return len(formula.free_vars())

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy as sp
 from hypothesis import given, settings, strategies as st
 
 from sharpcells.cad import (
@@ -12,6 +13,7 @@ from sharpcells.cad import (
     CeilingError,
     _decide_closed,
     _test_points,
+    build_stack,
     cad,
     cell_formula,
     compatible_decomposition,
@@ -25,7 +27,7 @@ from sharpcells.choice import choice_1d, region_formulas
 from sharpcells.formula import And, Atom, Exists, NamedAtom, Or, instantiate
 from sharpcells.parser import parse_formula, parse_poly
 from sharpcells.poly import Polynomial
-from sharpcells.realalg import QQ, Num, isolate_roots
+from sharpcells.realalg import QQ, Num, isolate_roots, pdeg
 from sharpcells.topology import connected_components
 
 
@@ -465,3 +467,106 @@ def test_locate_joins_unrelated_towers():
     # off the line, (sqrt2, sqrt2) lies in the sector above it
     above = decomp.cell_at(locate(decomp, [a, a]))
     assert above.dim == 2 and not above.memberships[0]
+
+
+# ---------------------------------------------------------------------------
+# lifting: rational roots stay exact, other roots get irreducible fields
+# ---------------------------------------------------------------------------
+
+
+def field_degree(value):
+    return pdeg(value.field.root.sqf)
+
+
+def test_rational_root_beside_a_cube_root_is_exact():
+    decomp = compatible_decomposition(
+        [parse_formula("(3*x - 1)*(x^3 - 2) = 0")])
+    third, cube_root = decomp.stacks[()].sections
+    assert third.handle.is_rational() and third.handle.exact == Fraction(1, 3)
+    cell = decomp.cell_at((1,))
+    assert cell.coords[0].as_fraction() == Fraction(1, 3)
+    psi, fd = cell_formula(decomp, cell)
+    assert isinstance(psi, Atom) and fd.as_tuple() == (1, 1)
+    assert field_degree(cube_root.value) == 3
+
+
+def test_plane_stacks_keep_rational_roots_exact():
+    decomp = compatible_decomposition(
+        [parse_formula("(x - y^3 + 2)*(3*y - 1) = 0")], ("x", "y"))
+    roots_over = {}
+    for base in decomp.base.cells:
+        x = base.coords[0].as_fraction()
+        assert x is not None  # the base has rational roots_over only
+        sections = decomp.stacks[base.index_path].sections
+        values = [sec.value for sec in sections]
+        roots_over[x] = values
+        (third,) = [sec for sec, v in zip(sections, values)
+                    if v.as_fraction() == Fraction(1, 3)]
+        assert third.handle.is_rational()
+        for v in values:
+            assert v.as_fraction() is not None or field_degree(v) == 3
+    # over x = -3 the cubic is -(y + 1)*(y^2 - y + 1): its real root -1
+    # comes back rational, found among the factors of a degree-3 handle
+    assert [v.as_fraction() for v in roots_over[Fraction(-3)]] == \
+        [Fraction(-1), Fraction(1, 3)]
+    assert sum(v.as_fraction() is None for vs in roots_over.values()
+               for v in vs) >= 2
+
+
+@st.composite
+def distinct_factors(draw):
+    """One to three distinct monic factors over QQ, as coefficient lists:
+    linear ones with non-dyadic rational roots, and quadratics and cubics
+    that sympy calls irreducible."""
+    x = sp.Symbol("x")
+    root = st.fractions(-4, 4, max_denominator=9).filter(
+        lambda r: r.denominator & (r.denominator - 1))
+    linear = root.map(lambda r: (-r, Fraction(1)))
+    coeff = st.integers(-4, 4).map(Fraction)
+    higher = st.integers(2, 3).flatmap(
+        lambda d: st.tuples(*[coeff] * d)).map(
+        lambda low: low + (Fraction(1),)).filter(
+        lambda c: sp.Poly(to_sympy(c, x), x, domain="QQ").is_irreducible)
+    return draw(st.lists(st.one_of(linear, higher), min_size=1, max_size=3,
+                         unique=True))
+
+
+def to_sympy(coeffs, x):
+    return sum(sp.Rational(c.numerator, c.denominator) * x**i
+               for i, c in enumerate(coeffs))
+
+
+def assert_sections_match_sympy(sections, expr, x):
+    roots = sp.Poly(expr, x).real_roots()
+    assert len(sections) == len(roots)
+    for sec, root in zip(sections, roots):
+        value = sec.value
+        if root.is_rational:
+            assert sec.handle.is_rational()
+            assert sp.Rational(value.as_fraction()) == root
+            continue
+        assert not sec.handle.is_rational()
+        assert sp.Rational(sec.handle.lo) < root < sp.Rational(sec.handle.hi)
+        # the field's polynomial is irreducible and has the root: its
+        # only root in an interval that isolates the root of the product
+        gen = value.field.root
+        defining = sp.Poly(to_sympy(gen.sqf, x), x, domain="QQ")
+        assert defining.is_irreducible
+        assert sp.Rational(gen.lo) < root < sp.Rational(gen.hi)
+        assert defining.count_roots(gen.lo, gen.hi) == 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(distinct_factors())
+def test_sections_are_rational_exactly_at_rational_roots(factors):
+    x = sp.Symbol("x")
+    expr = sp.expand(sp.Mul(*[to_sympy(f, x) for f in factors]))
+    product = Polynomial.constant(1, ("x",))
+    for f in factors:
+        product = product * Polynomial(
+            ("x",), {(i,): c for i, c in enumerate(f) if c})
+    decomp = compatible_decomposition([Atom(product, "=")])
+    assert_sections_match_sympy(decomp.stacks[()].sections, expr, x)
+    # the product unfactored: its sections are re-examined when read
+    stack = build_stack(QQ, [], [product])
+    assert_sections_match_sympy(stack.sections, expr, x)

@@ -61,10 +61,35 @@ def test_cad_stats(circle, capsys, tmp_path):
                 assert all(rat.match(s) for s in value["isolating"])
 
 
-def test_json_is_deterministic(circle, capsys, tmp_path):
+# the circle, and a set with the non-dyadic rational root x = 1/3 and the
+# cube roots x = (y + 2)^(1/3), one in every fiber over y
+DETERMINISM_SETS = {
+    "circle": "x^2 + y^2 - 1 = 0",
+    "third": "(3*x - 1)*(x^3 - y - 2) = 0",
+}
+DETERMINISM_CASES = [
+    pytest.param("cad", "circle", id="cad-circle"),
+    pytest.param("cad --stats", "circle", id="cad-stats-circle"),
+    pytest.param("cad --stats", "third", id="cad-stats-third"),
+    pytest.param("components", "circle", id="components-circle"),
+    pytest.param("components", "third", id="components-third"),
+    pytest.param("stratify", "circle", id="stratify-circle"),
+    pytest.param("stratify", "third", id="stratify-third"),
+    pytest.param("star", "circle", id="star-circle"),
+    pytest.param("star", "third", id="star-third"),
+    pytest.param("choice --fiber x --at=2", "third", id="choice-at-third"),
+]
+
+
+@pytest.mark.parametrize("command,name", DETERMINISM_CASES)
+def test_json_is_deterministic(command, name, capsys, tmp_path):
+    # the second run meets warm kernel and block memos in this process
+    f = tmp_path / f"{name}.fml"
+    f.write_text(DETERMINISM_SETS[name])
+    cmd, *opts = command.split()
     a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
-    assert run(["cad", circle, "--json", a], capsys)[0] == 0
-    assert run(["cad", circle, "--json", b], capsys)[0] == 0
+    for dest in (a, b):
+        assert run([cmd, str(f), *opts, "--json", dest], capsys)[0] == 0
     assert open(a, "rb").read() == open(b, "rb").read()
 
 
@@ -221,6 +246,13 @@ def test_malformed_arguments_are_usage_errors(circle, capsys):
         main(["cad", circle, "--approx", "-2"])
     assert exc.value.code == 3
     assert "non-negative integer" in capsys.readouterr().err
+    # an approximation is a float, which carries 15 significant digits
+    for argv in (["cad", circle, "--approx", "16"],
+                 ["choice", circle, "--fiber", "x", "--approx", "30"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 3
+        assert "at most 15 digits" in capsys.readouterr().err
     # rationals: a zero denominator, a non-number, an empty value
     for argv in (["bound-check", circle, "--cap", "1/0"],
                  ["bound-check", circle, "--cap", "abc"],
