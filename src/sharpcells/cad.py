@@ -33,18 +33,16 @@ from .poly import (
     Polynomial,
     discriminant,
     factor,
-    factor_univariate,
+    primitive_integers,
     resultant,
 )
 from .realalg import (
     QQ,
     Num,
     RootHandle,
-    _changes_sign,
     isolate_roots,
     num_in,
     num_join,
-    pdeg,
     peval,
     ptrim,
     rational_between,
@@ -234,44 +232,34 @@ def _eliminate(polys, order, keep):
 # ---------------------------------------------------------------------------
 
 
-def _is_square(q: Fraction):
-    if q < 0:
-        return None
-    rn = math.isqrt(q.numerator)
-    rd = math.isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None
+def _rational_root(handle):
+    """The same rational-field root as a rational handle when it is
+    rational, and otherwise the handle itself.
 
-
-def _irreducible_root(handle):
-    """The same rational-field root as a rational handle or as one whose
-    polynomial is irreducible."""
-    sqf = handle.sqf
-    if pdeg(sqf) == 1:
-        return RootHandle.rational(QQ, -sqf[0] / sqf[1])
-    if pdeg(sqf) == 2:
-        # quadratic: either both roots rational or the poly is irreducible
-        c, b, a = sqf
-        root = _is_square(b * b - 4 * a * c)
-        if root is not None:
-            for r in ((-b + root) / (2 * a), (-b - root) / (2 * a)):
-                if handle.lo <= r <= handle.hi:
-                    return RootHandle.rational(QQ, r)
-        return handle
-    # the one irreducible factor that changes sign across the interval
-    for coeffs in factor_univariate(sqf):
-        if _changes_sign(QQ, coeffs, handle.lo, handle.hi):
-            if len(coeffs) == 2:
-                return RootHandle.rational(QQ, -coeffs[0] / coeffs[1])
-            return RootHandle(QQ, coeffs, handle.lo, handle.hi)
+    A rational root of the primitive integer polynomial of handle.sqf has
+    a denominator dividing its leading coefficient, so it lies on the
+    lattice Z/lead, lead the coefficient's absolute value.  A copy of the
+    handle refined below width 1/lead holds at most two lattice points,
+    and the root is rational exactly when sqf vanishes at one of them.
+    The handle itself is not refined.
+    """
+    lead = abs(primitive_integers(handle.sqf)[-1])
+    probe = handle.copy()
+    probe.refine_below(Fraction(1, lead))
+    if probe.is_rational():
+        return RootHandle.rational(QQ, probe.exact)
+    for k in range(math.ceil(probe.lo * lead),
+                   math.floor(probe.hi * lead) + 1):
+        if probe.sign_at(Fraction(k, lead)) == 0:
+            return RootHandle.rational(QQ, Fraction(k, lead))
     return handle
 
 
 def _section_value(field, handle):
     """Exact Num for the root a handle isolates over a field: a rational
     root stays in the field, any other root becomes the generator of an
-    extension."""
+    extension whose modulus is the handle's squarefree, possibly reducible
+    polynomial."""
     if handle.is_rational():
         return Num(field, field.from_fraction(handle.exact))
     ext = handle.as_extension()
@@ -285,8 +273,9 @@ def _section_value(field, handle):
 
 class Section:
     """One section of a stack: a root handle over the stack's field and,
-    on first use, its exact value.  Over QQ that first use replaces the
-    handle by _irreducible_root's, for value and later readers alike."""
+    on first use, its exact value.  Over QQ that first use replaces a
+    handle whose root is rational by a rational handle (_rational_root),
+    for value and later readers alike."""
 
     def __init__(self, field, handle):
         self.field = field
@@ -295,7 +284,7 @@ class Section:
     @cached_property
     def value(self):
         if self.field is QQ and not self.handle.is_rational():
-            self.handle = _irreducible_root(self.handle)
+            self.handle = _rational_root(self.handle)
         return _section_value(self.field, self.handle)
 
 
@@ -357,7 +346,9 @@ def restrict(field, poly, values, free=-1):
 def build_stack(field, coords, basis):
     """The stack of a basis over one base point of the given field: the
     roots of each restricted polynomial's squarefree part, isolated by
-    isolate_roots without factoring (see Section for when it factors)."""
+    isolate_roots.  Nothing is factored: a section's value is rational or
+    generates an extension on its handle's squarefree polynomial (see
+    Section)."""
     values = [num_in(field, c).data for c in coords]
     upolys = []
     handles = []

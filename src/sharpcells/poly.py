@@ -9,7 +9,7 @@ discriminants and resultants run on sympy's dense integer polynomials over
 ZZ; no sympy expression is ever built.  Their results are memoised on
 integer keys that hold no variable names, so the same polynomial under
 other names is factored once; the memo keeps the 1,024 most recently used
-answers of all six kernel functions together.  sympy is imported on the
+answers of all five kernel functions together.  sympy is imported on the
 first memo miss, inside the kernel functions, so work that needs no
 algebra (parsing, format/degree, structure trees, reduction checks) never
 loads it.
@@ -372,13 +372,6 @@ def _from_dup(f):
     return [Fraction(c) for c in reversed(f)]
 
 
-def _factor_dup(f):
-    from sympy.polys.domains import ZZ
-    from sympy.polys.factortools import dup_factor_list
-    _, factors = dup_factor_list(list(map(ZZ, f)), ZZ)
-    return tuple(tuple(map(int, g)) for g in _in_order(factors))
-
-
 def _sqf_dup(f):
     from sympy.polys.domains import ZZ
     from sympy.polys.sqfreetools import dup_sqf_part
@@ -393,23 +386,17 @@ def _gcd_dup(f, g):
     return tuple(map(int, h))
 
 
-def factor_univariate(coeffs):
-    """Irreducible factors of a nonzero univariate polynomial over the
-    rationals; coefficient lists of Fractions indexed by degree."""
-    return [_from_dup(f) for f in _memo(_factor_dup, _to_dup(coeffs))]
-
-
 def squarefree_univariate(coeffs):
     """Squarefree part of a nonzero univariate polynomial over the
-    rationals, integer-primitive with positive leading coefficient; lists
-    as in factor_univariate."""
+    rationals, integer-primitive with positive leading coefficient; in and
+    out, coefficient lists of Fractions indexed by degree."""
     return _from_dup(_memo(_sqf_dup, _to_dup(coeffs)))
 
 
 def gcd_univariate(p, q):
     """Greatest common divisor of two nonzero univariate polynomials over
     the rationals, integer-primitive with positive leading coefficient;
-    lists as in factor_univariate."""
+    lists as in squarefree_univariate."""
     return _from_dup(_memo(_gcd_dup, _to_dup(p), _to_dup(q)))
 
 

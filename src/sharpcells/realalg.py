@@ -875,7 +875,8 @@ class RootHandle:
 
         The root is a root of q exactly when g = gcd(sqf, q) changes sign
         across the isolating interval.  With shrink=True a vanishing q also
-        cuts sqf down to g, which still carries the root.
+        cuts sqf down to g, which still carries the root.  Over QQ a linear
+        q is decided by its own root, without a gcd.
         """
         f = self.field
         q = ptrim(f, list(q))
@@ -885,6 +886,16 @@ class RootHandle:
             return _sign_at(f, q, self.exact) == 0
         if pdeg(q) == 0:
             return False
+        if f is QQ and pdeg(q) == 1:
+            # q's one root r is this root exactly when the interval holds r
+            # and sqf vanishes there; then gcd(sqf, q) is q, made primitive
+            r = -Fraction(q[0]) / q[1]
+            if not (self.lo < r < self.hi and self.sign_at(r) == 0):
+                return False
+            if shrink:
+                sign = 1 if q[1] > 0 else -1
+                self.sqf = [Fraction(sign * c) for c in primitive_integers(q)]
+            return True
         g = _gcd(f, self.sqf, q)
         if pdeg(g) < 1 or not _changes_sign(f, g, self.lo, self.hi):
             return False
@@ -927,6 +938,31 @@ class RootHandle:
         return ExtensionField(self)
 
 
+# bisections compare_roots makes on copies of two overlapping algebraic
+# handles over QQ before it pays a gcd
+_PROBE_STEPS = 16
+
+
+def _probe_apart(r1: RootHandle, r2: RootHandle):
+    """-1 or 1 ordering two overlapping algebraic handles over QQ when
+    copies of them part within _PROBE_STEPS bisections, else 0.
+
+    On success the handles take the copies' intervals, which are the ones
+    the loop of compare_roots reaches: for distinct roots it makes exactly
+    these bisections.  Otherwise the copies are dropped, so equal roots
+    keep their intervals.
+    """
+    c1, c2 = r1.copy(), r2.copy()
+    for _ in range(_PROBE_STEPS):
+        c1.refine()
+        c2.refine()
+        if c1.hi < c2.lo or c2.hi < c1.lo:
+            for r, c in ((r1, c1), (r2, c2)):
+                r.lo, r.hi, r.exact = c.lo, c.hi, c.exact
+            return -1 if c1.hi < c2.lo else 1
+    return 0
+
+
 def compare_roots(r1: RootHandle, r2: RootHandle):
     """-1, 0, or 1 comparing two root handles over the same field."""
     f = r1.field
@@ -951,6 +987,12 @@ def compare_roots(r1: RootHandle, r2: RootHandle):
                 return 0
         else:
             if g is None:
+                # distinct roots almost always part after a few bisections;
+                # over an extension field a bisection refines the shared
+                # generator, so only QQ handles are probed on copies
+                side = _probe_apart(r1, r2) if f is QQ else 0
+                if side:
+                    return side
                 g = _gcd(f, r1.sqf, r2.sqf)
             lo = max(r1.lo, r2.lo)
             hi = min(r1.hi, r2.hi)

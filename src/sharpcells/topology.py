@@ -242,6 +242,9 @@ def _curve_end_codes(decomp, upper, lower, P, seps, count):
     for s in seps:
         res = restrict(QQ, resultant(P.subs_var(z, s), g, y), [])
         while res and r.vanishes(res):
+            # r.sqf is irreducible: level-1 handles isolate the roots of
+            # factor_basis's irreducible polynomials, so the gcd removes
+            # the conjugates of alpha and no other root of res
             root_poly = [-r.exact, Fraction(1)] if r.is_rational() else r.sqf
             res, _ = pdivmod(QQ, res, pgcd(QQ, res, root_poly))
         avoid.append(res)

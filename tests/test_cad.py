@@ -8,6 +8,7 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
+from sharpcells import poly
 from sharpcells.cad import (
     CADError,
     CeilingError,
@@ -506,20 +507,46 @@ def test_plane_stacks_keep_rational_roots_exact():
         for v in values:
             assert v.as_fraction() is not None or field_degree(v) == 3
     # over x = -3 the cubic is -(y + 1)*(y^2 - y + 1): its real root -1
-    # comes back rational, found among the factors of a degree-3 handle
+    # comes back rational, found by the lattice test on a degree-3 handle
     assert [v.as_fraction() for v in roots_over[Fraction(-3)]] == \
         [Fraction(-1), Fraction(1, 3)]
     assert sum(v.as_fraction() is None for vs in roots_over.values()
                for v in vs) >= 2
 
 
+def test_lifting_over_rational_points_never_factors(monkeypatch):
+    calls = []
+    compute = poly._memo.__wrapped__
+
+    def recording(kernel, *keys):
+        calls.append(kernel.__name__)
+        return compute(kernel, *keys)
+
+    monkeypatch.setattr(poly, "_memo", recording)
+    # (3*y - 1)*(y^2 - x) is reducible on purpose: its squarefree handles
+    # hold a rational and an irrational root
+    basis = [parse_poly(t, ("x", "y")) for t in (
+        "y^3 - x", "x*y^2 - 2", "3*y^3 - y^2 - 3*x*y + x", "y^2 + x*y - 3")]
+    values = {}
+    for x in (Fraction(-3), Fraction(1, 27), Fraction(2), Fraction(18)):
+        stack = build_stack(QQ, [x], basis)
+        values[x] = [sec.value for sec in stack.sections]
+    assert set(calls) == {"_sqf_dup", "_gcd_dup"}
+    rationals = {x: {v.as_fraction() for v in vs} for x, vs in values.items()}
+    assert {Fraction(-1, 3), Fraction(1, 3)} <= rationals[Fraction(18)]
+    assert Fraction(1, 3) in rationals[Fraction(1, 27)]
+    assert any(v.field is not QQ and field_degree(v) == 3
+               for v in values[Fraction(2)])
+
+
 @st.composite
 def distinct_factors(draw):
     """One to three distinct monic factors over QQ, as coefficient lists:
-    linear ones with non-dyadic rational roots, and quadratics and cubics
-    that sympy calls irreducible."""
+    linear ones with non-dyadic rational roots whose denominators reach
+    1000, so that the lattice Z/lead of the product's rational roots is
+    fine, and quadratics and cubics that sympy calls irreducible."""
     x = sp.Symbol("x")
-    root = st.fractions(-4, 4, max_denominator=9).filter(
+    root = st.fractions(-4, 4, max_denominator=1000).filter(
         lambda r: r.denominator & (r.denominator - 1))
     linear = root.map(lambda r: (-r, Fraction(1)))
     coeff = st.integers(-4, 4).map(Fraction)
@@ -547,13 +574,26 @@ def assert_sections_match_sympy(sections, expr, x):
             continue
         assert not sec.handle.is_rational()
         assert sp.Rational(sec.handle.lo) < root < sp.Rational(sec.handle.hi)
-        # the field's polynomial is irreducible and has the root: its
-        # only root in an interval that isolates the root of the product
-        gen = value.field.root
+        # the field's modulus is squarefree, a multiple of the root's
+        # minimal polynomial, and has one root in the generator's interval
+        field = value.field
+        gen = field.root
         defining = sp.Poly(to_sympy(gen.sqf, x), x, domain="QQ")
-        assert defining.is_irreducible
+        minimal = sp.Poly(sp.minimal_polynomial(root, x), x, domain="QQ")
+        cofactor, rem = sp.div(defining, minimal)
+        assert defining.is_sqf and rem.is_zero
         assert sp.Rational(gen.lo) < root < sp.Rational(gen.hi)
         assert defining.count_roots(gen.lo, gen.hi) == 1
+        # so the field's zero test reads the minimal polynomial at the
+        # generator as 0 and its cofactor as nonzero
+        assert not field.raw_is_zero(payload(cofactor))
+        assert field.raw_is_zero(payload(minimal))
+
+
+def payload(q):
+    """A sympy Poly as a field element: its coefficients from degree 0."""
+    return tuple(Fraction(int(c.p), int(c.q))
+                 for c in reversed(q.all_coeffs()))
 
 
 @settings(max_examples=30, deadline=None)

@@ -16,7 +16,7 @@ from sympy.polys.densebasic import dmp_from_dict, dmp_to_dict
 from sympy.polys.densetools import dup_primitive
 from sympy.polys.domains import ZZ
 from sympy.polys.euclidtools import dmp_discriminant, dmp_resultant, dup_gcd
-from sympy.polys.factortools import dmp_factor_list, dup_factor_list
+from sympy.polys.factortools import dmp_factor_list
 from sympy.polys.sqfreetools import dup_sqf_part
 
 from sharpcells import poly
@@ -26,7 +26,6 @@ from sharpcells.poly import (
     Polynomial,
     discriminant,
     factor,
-    factor_univariate,
     gcd_univariate,
     resultant,
     squarefree_univariate,
@@ -264,11 +263,6 @@ def test_factor_matches_sympy(p):
         assert k >= 1
         rebuilt *= fe**k
     assert same_up_to_scalar(from_expr(rebuilt, p.variables), p)
-    if len(p.variables) == 1:
-        coeffs = [c.constant_value() for c in p.coeffs_in_last()]
-        ours = [Polynomial(("x",), {(i,): c for i, c in enumerate(f)})
-                for f in factor_univariate(coeffs)]
-        assert [f.primitive() for f in ours] == factors
 
 
 @settings(max_examples=40, deadline=None)
@@ -382,10 +376,6 @@ def test_memoised_kernel_ignores_variable_names(case):
 def test_memoised_univariate_kernel_matches_dense_sympy(case):
     (p, f), (q, g) = (([c.constant_value() for c in r.coeffs_in_last()],
                        dense(r, ("x",))) for r in case)
-    ours = cold_and_warm(factor_univariate, p)
-    _, ref = dup_factor_list(f, ZZ)
-    assert sorted(map(tuple, ours)) == \
-        sorted(tuple(from_dup(h)) for h, _ in ref)
     assert cold_and_warm(squarefree_univariate, p) == \
         from_dup(dup_sqf_part(f, ZZ))
     assert cold_and_warm(gcd_univariate, p, q) == \
@@ -405,14 +395,12 @@ def test_callers_cannot_change_memoised_answers():
         assert fn(*args) == before
 
     coeffs = [Fraction(c) for c in (2, -1, -2, 1)]  # (x - 1)(x + 1)(x - 2)
-    for fn, args in [(factor_univariate, (coeffs,)),
-                     (squarefree_univariate, (coeffs,)),
+    for fn, args in [(squarefree_univariate, (coeffs,)),
                      (gcd_univariate, (coeffs, [Fraction(-1), Fraction(1)]))]:
         first = fn(*args)
         before = copy.deepcopy(first)
-        coeffs_of_first = first[0] if fn is factor_univariate else first
-        coeffs_of_first[0] += 1
-        coeffs_of_first.append(Fraction(3))
+        first[0] += 1
+        first.append(Fraction(3))
         assert fn(*args) == before
 
 
@@ -449,11 +437,9 @@ def test_memo_keys_and_answers_are_plain_ints(monkeypatch):
     factor(p * q)
     discriminant(p, "y")
     resultant(p, q, "y")
-    factor_univariate(coeffs)
     squarefree_univariate(coeffs)
     gcd_univariate(coeffs, [Fraction(-1, 2), Fraction(1)])
     assert [name for name, _, _ in calls] == [
-        "_factor", "_discriminant", "_resultant", "_factor_dup", "_sqf_dup",
-        "_gcd_dup"]
+        "_factor", "_discriminant", "_resultant", "_sqf_dup", "_gcd_dup"]
     for name, keys, answer in calls:
         assert ints_only(keys) and ints_only(answer), name

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 import sharpcells.realalg as realalg
 from sharpcells.cad import compatible_decomposition, sample_in_cell
 from sharpcells.parser import parse_formula
+from sharpcells.poly import gcd_univariate
 from sharpcells.realalg import (
     Num,
     QQ,
@@ -385,6 +386,85 @@ def _zero_test_cases(over_sqrt3):
         qs += [[F.neg(gen), F.one], [gen, F.one],
                realalg.pmul(F, [F.neg(gen), F.one], poly(-1, 1))]
     return F, handles, qs
+
+
+@st.composite
+def products_and_lines(draw):
+    """clustered_products with a linear q: a multiple of the factor of one
+    of their rational roots, or of x - r for a random rational r."""
+    factors = draw(clustered_products())
+    r = st.fractions(-10, 10, max_denominator=12)
+    roots = [-f[0] / f[1] for f in factors if len(f) == 2]
+    if roots:
+        r = st.one_of(st.sampled_from(roots), r)
+    r = draw(r)
+    c = draw(st.fractions(-5, 5, max_denominator=6).filter(bool))
+    return factors, [-c * r, c]
+
+
+@settings(max_examples=80, deadline=None)
+@given(products_and_lines())
+def test_linear_zero_test_matches_the_gcd_path(case):
+    factors, q = case
+    for h in isolate_roots(QQ, _product(factors)):
+        if h.is_rational():
+            continue
+        g = gcd_univariate(h.sqf, q)
+        want = len(g) >= 2 and realalg._changes_sign(QQ, g, h.lo, h.hi)
+        assert h.copy().vanishes(q) == want
+        cut = h.copy()
+        assert cut.vanishes(q, shrink=True) == want
+        assert cut.sqf == (g if want else h.sqf)
+        assert (cut.lo, cut.hi) == (h.lo, h.hi)
+
+
+def _bisect_apart(r1, r2):
+    """compare_roots on two distinct roots whose intervals overlap, without
+    its probe: the loop bisects both until the intervals part."""
+    while not (r1.hi < r2.lo or r2.hi < r1.lo):
+        r1.refine()
+        r2.refine()
+    return -1 if r1.hi < r2.lo else 1
+
+
+def _state(h):
+    return h.lo, h.hi, h.exact
+
+
+@pytest.mark.parametrize("p, q, lo, hi", [
+    ([-2, 0, 1], [-1, -1, 1], 1, 2),              # sqrt2, golden ratio
+    ([-1, -1, 1], [-2, 0, 1], 1, 2),
+    ([-2, 0, 1], [-5, 0, 0, 1], 1, 2),            # sqrt2, 5^(1/3)
+    ([2, -6, -1, 3], [-1, 0, 8], 0, 1),           # 1/3, sqrt(1/8)
+    ([-2, 0, 1], [15, -10, -3, 2], 1, 2),         # 3/2 is met exactly
+    # 3.5e-9 apart: they part only after the probe gives up
+    ([-2, 0, 1], [-200000001, 0, 100000000], 1, 2),
+])
+def test_compare_roots_parts_distinct_roots_as_the_loop_does(p, q, lo, hi):
+    def handles():
+        return (RootHandle(QQ, squarefree(QQ, upoly(f)), Fraction(lo),
+                           Fraction(hi)) for f in (p, q))
+    r1, r2 = handles()
+    ref1, ref2 = handles()
+    want = _bisect_apart(ref1, ref2)
+    assert compare_roots(r1, r2) == want
+    assert (_state(r1), _state(r2)) == (_state(ref1), _state(ref2))
+
+
+@pytest.mark.parametrize("p, a, q, b", [
+    # sqrt2 in (1, 2), and in (5/4, 3/2) as a root of (x^2 - 2)(x^2 - 3)
+    ([-2, 0, 1], (1, 2), [6, 0, -5, 0, 1], (Fraction(5, 4), Fraction(3, 2))),
+    # 1/3, which no bisection lands on, as a root of two products
+    ([2, -6, -1, 3], (0, 1), [3, -9, -1, 3], (Fraction(1, 4), Fraction(1, 2))),
+    # 1/2, which the first bisection of either copy lands on
+    ([2, -4, -1, 2], (0, 1), [3, -6, -1, 2], (Fraction(1, 4), Fraction(3, 4))),
+])
+def test_compare_roots_keeps_the_intervals_of_equal_roots(p, a, q, b):
+    r1 = RootHandle(QQ, upoly(p), *map(Fraction, a))
+    r2 = RootHandle(QQ, upoly(q), *map(Fraction, b))
+    before = (_state(r1), _state(r2))
+    assert compare_roots(r1, r2) == 0
+    assert (_state(r1), _state(r2)) == before
 
 
 @pytest.mark.parametrize("over_sqrt3", [False, True])
