@@ -41,6 +41,7 @@ from .realalg import (
     Num,
     RootHandle,
     isolate_roots,
+    nonzero_sign,
     num_in,
     num_join,
     peval,
@@ -272,14 +273,17 @@ def _section_value(field, handle):
 
 
 class Section:
-    """One section of a stack: a root handle over the stack's field and,
-    on first use, its exact value.  Over QQ that first use replaces a
-    handle whose root is rational by a rational handle (_rational_root),
-    for value and later readers alike."""
+    """One section of a stack: a root handle over the stack's field, the
+    indices of the basis polynomials whose restrictions have this root
+    (their handles merged into it in sort_roots), and, on first use, its
+    exact value.  Over QQ that first use replaces a handle whose root is
+    rational by a rational handle (_rational_root), for value and later
+    readers alike."""
 
-    def __init__(self, field, handle):
+    def __init__(self, field, handle, indices):
         self.field = field
         self.handle = handle
+        self.indices = indices
 
     @cached_property
     def value(self):
@@ -316,6 +320,16 @@ class Stack:
         samples.append(handles[-1].hi + 1)
         return samples
 
+    def zeros(self, idx):
+        """The indices of the basis polynomials that vanish on cell idx of
+        the stack (even: a sector, odd: a section): those nullified on the
+        fiber and, on a section, those whose roots merged into it.  Every
+        other basis polynomial is nonzero on the cell."""
+        out = {i for i, up in enumerate(self.upolys) if up is None}
+        if idx % 2:
+            out |= self.sections[idx // 2].indices
+        return out
+
     @cached_property
     def product(self):
         """Product of the basis polynomials nonconstant on the fiber, or
@@ -328,8 +342,17 @@ class Stack:
 def restrict(field, poly, values, free=-1):
     """poly as a coefficient list over field in its variable number free
     (the last by default), the other variables set, in order, to values
-    (elements of field)."""
+    (elements of field).
+
+    Over QQ this is one homogeneous integer evaluation (_cleared), made
+    primitive: a list of ints, a positive rational multiple of the
+    restriction, so its signs and roots are the restriction's.
+    """
     free %= len(poly.variables)
+    if field is QQ:
+        out = ptrim(QQ, _cleared(poly, values, free))
+        g = math.gcd(*out)
+        return [c // g for c in out]
     out = [field.zero] * (poly.degree_in(poly.variables[free]) + 1)
     powers = [[field.one] for _ in values]  # powers[j][e] = values[j]^e
     for expo, c in poly.terms.items():
@@ -348,16 +371,22 @@ def build_stack(field, coords, basis):
     roots of each restricted polynomial's squarefree part, isolated by
     isolate_roots.  Nothing is factored: a section's value is rational or
     generates an extension on its handle's squarefree polynomial (see
-    Section)."""
+    Section).  Each section records the basis indices of the handles
+    sort_roots merged into it, so the stack knows which basis polynomials
+    vanish on each of its cells (Stack.zeros)."""
     values = [num_in(field, c).data for c in coords]
     upolys = []
     handles = []
-    for poly in basis:
+    owner = {}  # id(handle) -> basis index
+    for i, poly in enumerate(basis):
         up = restrict(field, poly, values)
         upolys.append(up if up else None)  # None: vanishes on the fiber
         if len(up) >= 2:
-            handles.extend(isolate_roots(field, up))
-    sections = [Section(field, group[0]) for group in sort_roots(handles)]
+            for h in isolate_roots(field, up):
+                owner[id(h)] = i
+                handles.append(h)
+    sections = [Section(field, group[0], {owner[id(h)] for h in group})
+                for group in sort_roots(handles)]
     return Stack(field, coords, basis, upolys, sections)
 
 
@@ -449,7 +478,9 @@ def _random_in_sector(sections, j, rng):
         return sections[-1].handle.hi + t
     h1 = sections[j - 1].handle
     h2 = sections[j].handle
-    rational_between(h1, h2)  # refines both until the intervals separate
+    while not h1.hi < h2.lo:  # a gap to draw from, not one touching point
+        h1.refine()
+        h2.refine()
     a, b = h1.hi, h2.lo
     return a + t * (b - a)
 
@@ -533,11 +564,26 @@ def poly_sign_at(poly, coords):
     restricted to its last algebraic coordinate in the field of the others,
     and evaluated there by Horner's rule.
     """
+    field, value = _value_at(poly, coords)
+    return field.sign(value)
+
+
+def _nonzero_sign(poly, coords):
+    """poly_sign_at for a polynomial known not to vanish at coords: at an
+    algebraic point the sign comes from interval enclosures alone, with no
+    zero test."""
+    field, value = _value_at(poly, coords)
+    return nonzero_sign(field, value)
+
+
+def _value_at(poly, coords):
+    """(field, payload) for poly at coords; at a rational point the payload
+    is one integer sum, a positive multiple of the value (_cleared)."""
     if len(coords) != len(poly.variables):
         raise ValueError("point dimension mismatch")
     values = [c.as_fraction() for c in coords]
     if None not in values:
-        return _rational_sign(poly, values)
+        return QQ, sum(_cleared(poly, values))
     for name, q in zip(poly.variables, values):
         if q is not None:
             poly = poly.subs_var(name, q)
@@ -545,26 +591,34 @@ def poly_sign_at(poly, coords):
     field = _deepest_field(algebraic)
     data = [num_in(field, c).data for c in algebraic]
     up = restrict(field, poly, data[:-1])
-    return field.sign(peval(field, up, data[-1]))
+    return field, peval(field, up, data[-1])
 
 
-def _rational_sign(poly, point):
-    """Sign of poly at a point of Fractions: the sign of the integer sum
-    with every coefficient denominator, and each coordinate's denominator
-    to its degree, cleared."""
+def _cleared(poly, point, free=None):
+    """poly's integer coefficients in its variable number free, the other
+    variables set, in order, to the rationals point; with free None, every
+    variable is set and the list has one entry.  Every coefficient
+    denominator, and each coordinate's denominator to its degree, is
+    cleared, so the list is a positive multiple of the rational one."""
     terms = poly.terms
     if not terms:
-        return 0
+        return []
     denom = math.lcm(*[c.denominator for c in terms.values()])
     powers = []  # powers[i][e] = a^e b^(top - e) for coordinate i = a/b
-    for top, q in zip(map(max, zip(*terms)), point):
+    point = iter(point)
+    for i, top in enumerate(map(max, zip(*terms))):
+        if i == free:  # the free variable contributes no factor
+            powers.append([1] * (top + 1))
+            continue
+        q = next(point)
         a, b = q.numerator, q.denominator
         powers.append([a ** e * b ** (top - e) for e in range(top + 1)])
-    total = 0
+    out = [0] * (1 if free is None else len(powers[free]))
     for expo, c in terms.items():
-        total += (c.numerator * (denom // c.denominator)
-                  * math.prod(map(operator.getitem, powers, expo)))
-    return (total > 0) - (total < 0)
+        out[0 if free is None else expo[free]] += (
+            c.numerator * (denom // c.denominator)
+            * math.prod(map(operator.getitem, powers, expo)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -702,9 +756,15 @@ def _in_one_field(values):
     return [num_in(top.field, n) for n in joined]
 
 
-def _eval_atom(atom, point):
+def _eval_atom(atom, point, zeros):
     coerced = _in_one_field(point[v] for v in atom.poly.variables)
-    s = poly_sign_at(atom.poly, coerced)
+    factors = zeros[0].get(id(atom)) if zeros else None
+    if factors is None:
+        s = poly_sign_at(atom.poly, coerced)
+    elif factors & zeros[1]:
+        s = 0
+    else:
+        s = _nonzero_sign(atom.poly, coerced)
     if atom.sign == "=":
         return s == 0
     if atom.sign == ">":
@@ -726,6 +786,10 @@ def decide(psi: Formula, point=None, ceiling=DEFAULT_CEILING):
     ceiling, so it holds no caller names, and a renamed copy met again at
     the same point is decided once.  Nested quantifiers are not memoised.
     The memo shares its size with the block memo (_BLOCK_MEMO_SIZE).
+
+    Every sign is decided here with a zero test.  The memberships of
+    compatible_decomposition go through the same evaluator, _decide, with
+    the cell's zero set in place of the zero tests.
     """
     point = dict(point or {})
     missing = [v for v in psi.free_vars() if v not in point]
@@ -734,17 +798,30 @@ def decide(psi: Formula, point=None, ceiling=DEFAULT_CEILING):
     return _decide(psi, point, ceiling)
 
 
-def _decide(psi, point, ceiling, outer=True):
+def _decide(psi, point, ceiling, outer=True, zeros=None):
+    """The one evaluator behind decide and every membership.
+
+    zeros, when given, is (factors, zero set) for a point that is a cell
+    sample of a decomposition: factors maps id(atom), for each nonconstant
+    atom of the decomposition's sets that uses no bound variable, to the
+    basis indices of its polynomial's factors, and the zero set holds the
+    indices that vanish on the cell (Stack.zeros).  Such an atom is 0
+    exactly when one of its factors is in the set; otherwise its sign is
+    read from interval enclosures alone.  Every other atom takes
+    poly_sign_at.
+    """
     if isinstance(psi, Atom):
-        return _eval_atom(psi, point)
+        return _eval_atom(psi, point, zeros)
     if isinstance(psi, NamedAtom):
         raise CADError("resolve named atoms before deciding")
     if isinstance(psi, And):
-        return all(_decide(c, point, ceiling, outer) for c in psi.children)
+        return all(_decide(c, point, ceiling, outer, zeros)
+                   for c in psi.children)
     if isinstance(psi, Or):
-        return any(_decide(c, point, ceiling, outer) for c in psi.children)
+        return any(_decide(c, point, ceiling, outer, zeros)
+                   for c in psi.children)
     if isinstance(psi, Not):
-        return not _decide(psi.child, point, ceiling, outer)
+        return not _decide(psi.child, point, ceiling, outer, zeros)
     if isinstance(psi, (Exists, Forall)):
         if outer:
             free = psi.free_vars()
@@ -753,17 +830,18 @@ def _decide(psi, point, ceiling, outer=True):
                 names = [f"_f{i}" for i in range(len(free))]
                 return _decide_closed(instantiate(psi, names, "_b"), values,
                                       ceiling)
-        return _decide_quantifier(psi, point, ceiling)
+        return _decide_quantifier(psi, point, ceiling, zeros)
     raise CADError(f"cannot decide {psi!r}")
 
 
-def _decide_quantifier(psi, point, ceiling):
+def _decide_quantifier(psi, point, ceiling, zeros=None):
     """Truth of a quantified psi: its body at every test point of psi.var."""
     want = isinstance(psi, Exists)
     for value in _test_points(psi, point, ceiling):
         newpoint = dict(point)
         newpoint[psi.var] = value
-        if _decide(psi.child, newpoint, ceiling, outer=False) == want:
+        if _decide(psi.child, newpoint, ceiling, outer=False,
+                   zeros=zeros) == want:
             return want
     return not want
 
@@ -856,6 +934,12 @@ def compatible_decomposition(sets, variables=None):
     cell lies entirely inside or outside each set, recorded per cell in
     cell.memberships.  Quantified inputs contribute their projection
     polynomials; membership is then decided exactly at cell samples.
+
+    Each membership goes through _decide with the cell's zero set: an atom
+    that uses no bound variable is 0 exactly when one of its factors in
+    the basis vanishes on the cell (Stack.zeros), and otherwise takes its
+    sign from interval enclosures, with no zero test.  The map from atoms
+    to basis indices is built once per decomposition.
     """
     sets = list(sets)
     if variables is None:
@@ -908,9 +992,20 @@ def compatible_decomposition(sets, variables=None):
                 add(p)
 
     d = cad(polys, variables)
+    factors = {}  # id(atom) -> basis indices of its factors
+    for s in sets:
+        bvars = set(bound_vars(s))
+        for atom in s.atoms():
+            p = atom.poly
+            if not p.is_constant() and not bvars & set(p.variables):
+                # the polynomial add made, so factor hits the kernel memo
+                q = p.extend(variables).primitive()
+                factors[id(atom)] = {d.basis.index(f) for f in factor(q)}
     for c in d.cells:
         point = c.sample_dict(variables)
-        c.memberships = tuple(decide(s, point) for s in sets)
+        zeros = (factors, d.stacks[c.index_path[:-1]].zeros(c.index_path[-1]))
+        c.memberships = tuple(_decide(s, point, DEFAULT_CEILING, zeros=zeros)
+                              for s in sets)
     return d
 
 

@@ -369,7 +369,7 @@ def _to_dup(coeffs):
 
 
 def _from_dup(f):
-    return [Fraction(c) for c in reversed(f)]
+    return list(reversed(f))
 
 
 def _sqf_dup(f):
@@ -388,15 +388,16 @@ def _gcd_dup(f, g):
 
 def squarefree_univariate(coeffs):
     """Squarefree part of a nonzero univariate polynomial over the
-    rationals, integer-primitive with positive leading coefficient; in and
-    out, coefficient lists of Fractions indexed by degree."""
+    rationals, integer-primitive with positive leading coefficient.  In, a
+    coefficient list of ints (Fractions are scaled to ints first); out, a
+    new list of ints; both indexed by degree."""
     return _from_dup(_memo(_sqf_dup, _to_dup(coeffs)))
 
 
 def gcd_univariate(p, q):
     """Greatest common divisor of two nonzero univariate polynomials over
     the rationals, integer-primitive with positive leading coefficient;
-    lists as in squarefree_univariate."""
+    lists of ints as in squarefree_univariate."""
     return _from_dup(_memo(_gcd_dup, _to_dup(p), _to_dup(q)))
 
 

@@ -6,14 +6,17 @@ itself when it is rational.  One handle type serves root isolation,
 comparison and sorting, and the generators of field towers QQ(a1)(a2)...:
 an ExtensionField is built on its own copy of a handle.
 
-Over the rationals the work runs on Python ints: roots are isolated by
-Descartes' rule of signs with bisection (Vincent-Collins-Akritas), and a
-sign at a rational a/b is a homogeneous Horner sum.  Over extension fields
-roots are isolated with Sturm chains.  Defining polynomials need not be
-irreducible: a root is a root of q exactly when gcd(sqf, q) changes sign
-across the isolating interval, and inversion shrinks the defining
-polynomial when it discovers a factor without the selected root.  All
-decisions are exact; floating point is never consulted.
+Over the rationals the work runs on Python ints: a handle's polynomial is
+a primitive integer list, roots are isolated by Descartes' rule of signs
+with bisection (Vincent-Collins-Akritas), a sign at a rational a/b is a
+homogeneous Horner sum, and refinement bisects integer numerators over a
+common denominator (Rouillier and Zimmermann, J. Comput. Appl. Math. 162,
+2004).  Over extension fields roots are isolated with Sturm chains.
+Defining polynomials need not be irreducible: a root is a root of q
+exactly when gcd(sqf, q) changes sign across the isolating interval, and
+inversion shrinks the defining polynomial when it discovers a factor
+without the selected root.  All decisions are exact; floating point is
+never consulted.
 """
 
 from __future__ import annotations
@@ -293,10 +296,9 @@ def isolate_roots(field, p):
 # ---------------------------------------------------------------------------
 
 
-def _int_sign(ints, x):
-    """Sign of an integer polynomial at the rational x = a/b (b > 0): the
-    sign of sum c_i a^i b^(n-i), by Horner's rule."""
-    a, b = x.numerator, x.denominator
+def _int_sign(ints, a, b):
+    """Sign of an integer polynomial at the rational a/b (b > 0): the sign
+    of sum c_i a^i b^(n-i), by Horner's rule."""
     acc, bk = 0, 1
     for c in reversed(ints):
         acc = acc * a + c * bk
@@ -307,7 +309,7 @@ def _int_sign(ints, x):
 def _sign_at(field, p, x: Fraction):
     """Sign of the polynomial p over field at the rational x."""
     if field is QQ:
-        return _int_sign(primitive_integers(p), x)
+        return _int_sign(primitive_integers(p), x.numerator, x.denominator)
     return field.sign(peval_frac(field, p, x))
 
 
@@ -394,11 +396,9 @@ def _positive_roots(c):
     return out
 
 
-def _isolate_squarefree(p):
-    """isolate_roots over QQ for a p already known to be squarefree: the
-    integer kernel alone."""
-    ints = primitive_integers(p)
-    sqf = [Fraction(c) for c in ints]
+def _isolate_squarefree(ints):
+    """isolate_roots over QQ for a squarefree, primitive integer list: the
+    integer kernel alone.  Every handle keeps ints as its sqf."""
     rest, found = ints, []
     if ints[0] == 0:
         found.append((Fraction(0), Fraction(0)))
@@ -413,10 +413,11 @@ def _isolate_squarefree(p):
         if lo in roots or hi in roots:
             # an end at a root r: sqf has the sign of sqf'(r) from the
             # lower end up to the isolated root, the opposite sign above it
-            s = _int_sign(deriv, lo if lo in roots else hi)
+            end = lo if lo in roots else hi
+            s = _int_sign(deriv, end.numerator, end.denominator)
             while lo in roots or hi in roots:
                 mid = (lo + hi) / 2
-                smid = _int_sign(ints, mid)
+                smid = _int_sign(ints, mid.numerator, mid.denominator)
                 if smid == 0:
                     lo = hi = mid
                     break
@@ -427,9 +428,7 @@ def _isolate_squarefree(p):
         if lo == hi:
             handles.append(RootHandle.rational(QQ, lo))
         else:
-            handle = RootHandle(QQ, sqf, lo, hi)
-            handle._ints = ints
-            handles.append(handle)
+            handles.append(RootHandle(QQ, ints, lo, hi))
     return handles
 
 
@@ -453,7 +452,7 @@ def _imul(a, b):
 
 
 class RationalField:
-    """The base of every tower; payloads are Fractions."""
+    """The base of every tower; payloads are Fractions or ints."""
 
     base = None
     zero = Fraction(0)
@@ -480,7 +479,7 @@ class RationalField:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / a
+        return Fraction(1) / a
 
     def raw_is_zero(self, a):
         return a == 0
@@ -802,12 +801,12 @@ class RootHandle:
     """One isolated real root of a squarefree polynomial over a field.
 
     An algebraic handle holds the squarefree polynomial sqf and a rational
-    interval (lo, hi) holding exactly one of its roots; the endpoints are
-    never roots.  A rational handle holds the root itself as exact, with
-    lo = hi = exact.  Bisection may land on an algebraic root, which then
-    becomes exact too.  Over QQ the handle keeps the primitive integer
-    coefficients of sqf for its signs, made on first use and again after
-    sqf is cut down.
+    interval (lo, hi) holding exactly one of its roots; the interval is
+    open and its ends are never roots.  A rational handle holds the root
+    itself as exact, with lo = hi = exact.  Bisection may land on an
+    algebraic root, which then becomes exact too.  Over QQ sqf is the
+    primitive integer list isolate_roots made, and signs and bisection run
+    on it in integers.
     """
 
     def __init__(self, field, sqf, lo: Fraction, hi: Fraction):
@@ -817,15 +816,6 @@ class RootHandle:
         self.hi = hi
         self.exact = None
 
-    @property
-    def sqf(self):
-        return self._sqf
-
-    @sqf.setter
-    def sqf(self, p):
-        self._sqf = p
-        self._ints = None
-
     @classmethod
     def rational(cls, field, x: Fraction):
         handle = cls(field, None, x, x)
@@ -834,7 +824,6 @@ class RootHandle:
 
     def copy(self):
         handle = RootHandle(self.field, self.sqf, self.lo, self.hi)
-        handle._ints = self._ints
         handle.exact = self.exact
         return handle
 
@@ -843,32 +832,48 @@ class RootHandle:
 
     def sign_at(self, x: Fraction):
         """Sign of sqf at the rational x."""
-        if self.field is not QQ:
-            return _sign_at(self.field, self.sqf, x)
-        if self._ints is None:
-            self._ints = primitive_integers(self.sqf)
-        return _int_sign(self._ints, x)
+        return self._sign(x.numerator, x.denominator)
+
+    def _sign(self, a, b):
+        """Sign of sqf at the rational a/b (b > 0)."""
+        if self.field is QQ:
+            return _int_sign(self.sqf, a, b)
+        return _sign_at(self.field, self.sqf, Fraction(a, b))
 
     def refine(self):
         """Halve the isolating interval, or land on the root."""
         self.refine_below((self.hi - self.lo) / 2)
 
     def refine_below(self, width: Fraction):
-        """Bisect until the interval is at most width wide."""
+        """Bisect until the interval is at most width wide.
+
+        The bisection runs on the integer numerators a < b of the ends over
+        a common denominator d: the midpoint is (a + b) / 2d, so each step
+        doubles d.  The ends are set once, at the end, and are the numbers
+        bisection on Fractions reaches.
+        """
         if self.exact is not None:
             return
-        slo = self.sign_at(self.lo)
-        while self.hi - self.lo > width:
-            mid = (self.lo + self.hi) / 2
-            smid = self.sign_at(mid)
+        lo, hi = self.lo, self.hi
+        d = math.lcm(lo.denominator, hi.denominator)
+        a = lo.numerator * (d // lo.denominator)
+        b = hi.numerator * (d // hi.denominator)
+        wn, wd = width.numerator, width.denominator
+        if (b - a) * wd <= wn * d:
+            return
+        slo = self._sign(a, d)
+        while (b - a) * wd > wn * d:
+            mid = a + b
+            a, b, d = 2 * a, 2 * b, 2 * d
+            smid = self._sign(mid, d)
             if smid == 0:
-                self.exact = mid
-                self.lo = self.hi = mid
+                self.exact = self.lo = self.hi = Fraction(mid, d)
                 return
             if smid == slo:
-                self.lo = mid
+                a = mid
             else:
-                self.hi = mid
+                b = mid
+        self.lo, self.hi = Fraction(a, d), Fraction(b, d)
 
     def vanishes(self, q, shrink=False):
         """Does the UPoly q (over the same field) vanish at this root?
@@ -894,7 +899,7 @@ class RootHandle:
                 return False
             if shrink:
                 sign = 1 if q[1] > 0 else -1
-                self.sqf = [Fraction(sign * c) for c in primitive_integers(q)]
+                self.sqf = [sign * c for c in primitive_integers(q)]
             return True
         g = _gcd(f, self.sqf, q)
         if pdeg(g) < 1 or not _changes_sign(f, g, self.lo, self.hi):
@@ -919,16 +924,10 @@ class RootHandle:
         q = ptrim(self.field, list(q))
         if self.vanishes(q, shrink=True):
             return 0
-        prec = 4
-        while True:
-            lo, hi = self.enclose(q, prec)
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
-            prec *= 2
-            if prec > 2**20:
-                raise RealAlgebraError("sign refinement failed to converge")
+        sign = _enclosure_sign(lambda prec: self.enclose(q, prec), 2**20)
+        if not sign:
+            raise RealAlgebraError("sign refinement failed to converge")
+        return sign
 
     def as_extension(self):
         """An ExtensionField with this root as generator (rational roots
@@ -938,6 +937,50 @@ class RootHandle:
         return ExtensionField(self)
 
 
+def _enclosure_sign(enclose, top):
+    """Sign of a number from its rational enclosures enclose(prec) at
+    prec = 4, 8, ... up to top; 0 when none of them excludes 0."""
+    prec = 4
+    while prec <= top:
+        lo, hi = enclose(prec)
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
+        prec *= 2
+    return 0
+
+
+# the finest enclosure, 2^-_NONZERO_PREC, nonzero_sign tries before it falls
+# back to the exact sign
+_NONZERO_PREC = 2**10
+
+
+def nonzero_sign(field, a):
+    """Sign of a field element the caller knows is not 0, from interval
+    enclosures alone: unlike field.sign, no zero test (gcd) is made.  An
+    element that no enclosure down to width 2^-_NONZERO_PREC separates
+    from 0 takes field.sign, so the answer is exact even if it is 0."""
+    return (_enclosure_sign(lambda prec: field.approx(a, prec), _NONZERO_PREC)
+            or field.sign(a))
+
+
+def _apart(r1: RootHandle, r2: RootHandle):
+    """-1 or 1 when the isolating intervals alone order two roots, else 0.
+
+    Intervals are open and their ends are never roots, so r1.hi <= r2.lo
+    puts r1 below r2: intervals that only touch are ordered too, unless
+    both handles are exact at the touching point, where the roots are
+    equal.
+    """
+    both_exact = r1.exact is not None and r2.exact is not None
+    if r1.hi < r2.lo or (r1.hi == r2.lo and not both_exact):
+        return -1
+    if r2.hi < r1.lo or (r2.hi == r1.lo and not both_exact):
+        return 1
+    return 0
+
+
 # bisections compare_roots makes on copies of two overlapping algebraic
 # handles over QQ before it pays a gcd
 _PROBE_STEPS = 16
@@ -945,7 +988,7 @@ _PROBE_STEPS = 16
 
 def _probe_apart(r1: RootHandle, r2: RootHandle):
     """-1 or 1 ordering two overlapping algebraic handles over QQ when
-    copies of them part within _PROBE_STEPS bisections, else 0.
+    copies of them part (_apart) within _PROBE_STEPS bisections, else 0.
 
     On success the handles take the copies' intervals, which are the ones
     the loop of compare_roots reaches: for distinct roots it makes exactly
@@ -956,24 +999,31 @@ def _probe_apart(r1: RootHandle, r2: RootHandle):
     for _ in range(_PROBE_STEPS):
         c1.refine()
         c2.refine()
-        if c1.hi < c2.lo or c2.hi < c1.lo:
+        side = _apart(c1, c2)
+        if side:
             for r, c in ((r1, c1), (r2, c2)):
                 r.lo, r.hi, r.exact = c.lo, c.hi, c.exact
-            return -1 if c1.hi < c2.lo else 1
+            return side
     return 0
 
 
 def compare_roots(r1: RootHandle, r2: RootHandle):
-    """-1, 0, or 1 comparing two root handles over the same field."""
+    """-1, 0, or 1 comparing two root handles over the same field.
+
+    Intervals that only touch order the roots as they are (_apart).
+    Overlapping algebraic handles over QQ are first bisected on copies
+    (_probe_apart); a pair that stays together, and every overlapping pair
+    over an extension field, is decided with the gcd of the two
+    polynomials.
+    """
     f = r1.field
     if r1.is_rational() and r2.is_rational():
         return (r1.exact > r2.exact) - (r1.exact < r2.exact)
     g = None
     for _ in range(10_000):
-        if r1.hi < r2.lo:
-            return -1
-        if r2.hi < r1.lo:
-            return 1
+        side = _apart(r1, r2)
+        if side:
+            return side
         # overlapping intervals: equal only if they share a root.  Each
         # interval holds one root of its own sqf and no endpoint is a root,
         # so a rational inside the other interval is that root exactly
@@ -1031,10 +1081,17 @@ def sort_roots(handles):
 
 
 def rational_between(r1: RootHandle, r2: RootHandle):
-    """A rational strictly between two adjacent (distinct) roots."""
+    """A rational strictly between two adjacent (distinct) roots r1 < r2.
+
+    Intervals that touch at a point where neither handle is exact give
+    that point: it lies strictly between the roots.  Otherwise both handles
+    are bisected until r1.hi < r2.lo, and the gap's midpoint is returned.
+    """
     for _ in range(10_000):
         if r1.hi < r2.lo:
             return (r1.hi + r2.lo) / 2
+        if r1.hi == r2.lo and r1.exact is None and r2.exact is None:
+            return r1.hi
         r1.refine()
         r2.refine()
     raise RealAlgebraError("failed to separate adjacent roots")

@@ -13,6 +13,7 @@ import time
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from sharpcells.calculus import (
     P_SYSTEM,
@@ -173,6 +174,30 @@ def test_02_cad_sign_invariance():
             for pt in sample_in_cell(decomp, cell, rng, count=50):
                 assert [poly_sign_at(p, pt) for p in polys] == base, text
     assert time.monotonic() - t0 < 60.0
+
+
+# the stacked parabolas y - x^2 - i = 0, i < D, in the order (y, x)
+PARABOLAS = [" or ".join(f"(y - x^2 - {i} = 0)" for i in range(D))
+             for D in range(1, 5)]
+
+
+@pytest.mark.parametrize("text", SIGN_CORPUS + PARABOLAS)
+def test_zero_sets_are_the_exact_zeros(text):
+    """The provenance a stack records against exact signs: at every cell
+    sample of every layer, a basis polynomial's index is in the cell's
+    zero set exactly when the polynomial vanishes there, and each
+    membership equals decide at the sample, made without the zero set."""
+    X = parse_formula(text)
+    decomp = compatible_decomposition([X])
+    for layer in decomp.layers():
+        for cell in layer.cells:
+            path = cell.index_path
+            zeros = layer.stacks[path[:-1]].zeros(path[-1])
+            for i, q in enumerate(layer.basis):
+                assert (i in zeros) == (poly_sign_at(q, cell.coords) == 0)
+    for cell in decomp.cells:
+        point = cell.sample_dict(decomp.variables)
+        assert cell.memberships == (decide(X, point),), (text, cell)
 
 
 # ---------------------------------------------------------------------------

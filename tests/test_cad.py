@@ -1,6 +1,7 @@
 """Cylindrical decompositions: cell counts, sign invariance, membership,
 point location, quantifier decisions."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
+import sharpcells.cad as cad_module
 from sharpcells import poly
 from sharpcells.cad import (
     CADError,
@@ -22,12 +24,14 @@ from sharpcells.cad import (
     decomposition_report,
     locate,
     poly_sign_at,
+    restrict,
     sample_in_cell,
 )
 from sharpcells.choice import choice_1d, region_formulas
 from sharpcells.formula import And, Atom, Exists, NamedAtom, Or, instantiate
 from sharpcells.parser import parse_formula, parse_poly
 from sharpcells.poly import Polynomial
+import sharpcells.realalg as realalg
 from sharpcells.realalg import QQ, Num, isolate_roots, pdeg
 from sharpcells.topology import connected_components
 
@@ -610,3 +614,87 @@ def test_sections_are_rational_exactly_at_rational_roots(factors):
     # the product unfactored: its sections are re-examined when read
     stack = build_stack(QQ, [], [product])
     assert_sections_match_sympy(stack.sections, expr, x)
+
+
+# ---------------------------------------------------------------------------
+# integer restriction over QQ and signs known to be nonzero
+# ---------------------------------------------------------------------------
+
+
+def fraction_restriction(p, values, free):
+    """p with every variable but number free set to values, in order, by
+    substitution in Fractions: the coefficients in the free variable."""
+    name = p.variables[free]
+    for v, value in zip([v for v in p.variables if v != name], values):
+        p = p.subs_var(v, value)
+    out = [Fraction(0)] * (p.degree_in(name) + 1)
+    for (e,), c in p.terms.items():
+        out[e] = c
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+@st.composite
+def restrictions(draw):
+    """A plane or space polynomial with Fraction coefficients, a rational
+    point for all but one of its variables, and that variable's index."""
+    variables = ("x", "y", "z")[:draw(st.integers(2, 3))]
+    p = draw(random_polys(variables, 3).filter(bool))[0]
+    values = draw(st.lists(st.fractions(-5, 5, max_denominator=7),
+                           min_size=len(variables) - 1,
+                           max_size=len(variables) - 1))
+    return p, values, draw(st.integers(0, len(variables) - 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(restrictions())
+def test_integer_restriction_is_a_positive_multiple(case):
+    p, values, free = case
+    ints = restrict(QQ, p, values, free)
+    want = fraction_restriction(p, values, free)
+    assert all(type(c) is int for c in ints)
+    assert len(ints) == len(want)
+    if ints:
+        scale = Fraction(ints[-1]) / want[-1]
+        assert scale > 0
+        assert ints == [scale * c for c in want]
+        assert math.gcd(*ints) == 1
+
+
+def test_memberships_take_no_zero_test(monkeypatch):
+    def no_zero_test(*args):
+        raise AssertionError("poly_sign_at in a membership")
+
+    monkeypatch.setattr(cad_module, "poly_sign_at", no_zero_test)
+    # 140/99 < sqrt2 < 99/70, both within 10^-4 of it
+    sets = [parse_formula(t) for t in
+            ("y^2 - 2 = 0", "y - 99/70 > 0", "y - 140/99 > 0")]
+    decomp = compatible_decomposition(sets)
+    assert [c.memberships for c in decomp.cells if c.dim == 0] == [
+        (True, False, False), (False, False, False), (True, False, True),
+        (False, False, True)]
+
+
+def test_nonzero_sign_refines_a_straddling_enclosure(monkeypatch):
+    enclosures = []
+    enclosure_sign = realalg._enclosure_sign
+
+    def recording(enclose, top):
+        def traced(prec):
+            enclosures.append(enclose(prec))
+            return enclosures[-1]
+        return enclosure_sign(traced, top)
+
+    monkeypatch.setattr(realalg, "_enclosure_sign", recording)
+    for text, want in (("y - 99/70", -1), ("y - 140/99", 1)):
+        # a fresh section y = sqrt2 for each, its generator not yet refined
+        decomp = compatible_decomposition([parse_formula("y^2 - 2 = 0")])
+        (sqrt2,) = [c.coords for c in decomp.cells
+                    if c.memberships[0] and c.coords[0] > 0]
+        enclosures.clear()
+        assert cad_module._nonzero_sign(parse_poly(text), sqrt2) == want
+        # the first enclosure straddles 0, so the refinement loop ran
+        (lo, hi), *_, last = enclosures
+        assert lo < 0 < hi and len(enclosures) > 1
+        assert min(last) > 0 if want > 0 else max(last) < 0

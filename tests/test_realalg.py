@@ -8,7 +8,7 @@ import sympy as sp
 from hypothesis import given, settings, strategies as st
 
 import sharpcells.realalg as realalg
-from sharpcells.cad import compatible_decomposition, sample_in_cell
+from sharpcells.cad import compatible_decomposition, decide, sample_in_cell
 from sharpcells.parser import parse_formula
 from sharpcells.poly import gcd_univariate
 from sharpcells.realalg import (
@@ -420,11 +420,18 @@ def test_linear_zero_test_matches_the_gcd_path(case):
 
 def _bisect_apart(r1, r2):
     """compare_roots on two distinct roots whose intervals overlap, without
-    its probe: the loop bisects both until the intervals part."""
-    while not (r1.hi < r2.lo or r2.hi < r1.lo):
+    its probe: the loop bisects both until the intervals part.  They part
+    once one ends where the other starts or below it, unless both handles
+    are exact at that point: the intervals are open and never end at a
+    root."""
+    def below(a, b):
+        return a.hi < b.lo or (a.hi == b.lo and not (
+            a.is_rational() and b.is_rational()))
+
+    while not (below(r1, r2) or below(r2, r1)):
         r1.refine()
         r2.refine()
-    return -1 if r1.hi < r2.lo else 1
+    return -1 if below(r1, r2) else 1
 
 
 def _state(h):
@@ -506,3 +513,99 @@ def test_plane_cad_builds_no_sturm_chain_over_qq(monkeypatch):
     for cell in decomp.cells:
         sample_in_cell(decomp, cell, rng, count=2)
     assert fields  # stacks over algebraic abscissae still use Sturm chains
+
+
+@pytest.mark.parametrize("a", [3, -7, Fraction(2, 3), Fraction(-5, 4)])
+def test_rational_inverse_is_an_exact_fraction(a):
+    inv = QQ.inv(a)
+    assert type(inv) is Fraction and inv * a == 1
+
+
+def test_division_and_gcd_over_qq_keep_payloads_exact():
+    p = [6, -5, 1]          # (x - 2)(x - 3)
+    q = [-6, 3]             # 3x - 6
+    results = [*pdivmod(QQ, p, q), pgcd(QQ, p, q), pgcd(QQ, [2, 3], [4, 6])]
+    for c in (c for r in results for c in r):
+        assert type(c) in (int, Fraction)
+    assert pgcd(QQ, p, q) == [-2, 1]
+
+
+# products of these share rational and irrational roots: 1/2, -1, sqrt2,
+# the golden ratio and its conjugate, sqrt(1/8) beside 1/3, and 2/3
+SHARED_FACTORS = [[-1, 2], [1, 1], [-2, 0, 1], [-1, -1, 1], [-1, 0, 8],
+                  [-1, 3], [-2, 3], [2, -1, -1], [1, 0, -3]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(range(len(SHARED_FACTORS))),
+                         min_size=1, max_size=3), min_size=2, max_size=4))
+def test_touching_intervals_order_roots_as_sympy_does(products):
+    x = sp.Symbol("x")
+    polys = [_product([SHARED_FACTORS[i] for i in picks])
+             for picks in products]
+    handles, owners = [], []
+    for k, p in enumerate(polys):
+        for h in isolate_roots(QQ, p):
+            handles.append(h)
+            owners.append(k)
+    exprs = [sum(int(c) * x**i for i, c in enumerate(p)) for p in polys]
+    roots = sorted(set(r for e in exprs for r in sp.Poly(e, x).real_roots()),
+                   key=lambda r: r.evalf(50))
+    groups = sort_roots(handles)
+    assert len(groups) == len(roots)
+    for group, root in zip(groups, roots):
+        holders = {owners[handles.index(h)] for h in group}
+        assert holders == {k for k, e in enumerate(exprs)
+                           if e.subs(x, root).equals(0)}
+        for h in group:
+            assert sp.Rational(h.lo) <= root <= sp.Rational(h.hi)
+    for (g1, g2), (a, b) in zip(zip(groups, groups[1:]),
+                                zip(roots, roots[1:])):
+        q = rational_between(g1[0], g2[0])
+        assert a < sp.Rational(q) < b
+        for h in handles:
+            assert h.is_rational() or h.sign_at(q) != 0
+
+
+def test_an_exact_root_at_the_other_handles_lower_end():
+    one = RootHandle.rational(QQ, Fraction(1))
+    sqrt2 = RootHandle(QQ, [-2, 0, 1], Fraction(1), Fraction(2))
+    assert compare_roots(one, sqrt2) == -1
+    assert compare_roots(sqrt2, one) == 1
+    assert (sqrt2.lo, sqrt2.hi) == (1, 2)       # ordered without bisecting
+    q = rational_between(one, sqrt2)
+    assert 1 < q and q * q < 2
+    # two algebraic handles that touch at 1 are ordered, and 1 lies between
+    sqrt2 = RootHandle(QQ, [-2, 0, 1], Fraction(1), Fraction(2))
+    half = RootHandle(QQ, [-1, 0, 2], Fraction(1, 2), Fraction(1))
+    assert compare_roots(half, sqrt2) == -1
+    assert rational_between(half, sqrt2) == 1
+    assert (half.lo, half.hi, sqrt2.lo, sqrt2.hi) == (Fraction(1, 2), 1, 1, 2)
+    # exact handles that meet are the same root
+    assert compare_roots(one, RootHandle.rational(QQ, Fraction(1))) == 0
+
+
+def test_two_exact_handles_at_a_touching_point_make_one_section():
+    # at x = 1/4 both x^2 - x*y^2 and 3*x + y^2 - 1 vanish at y = -1/2, 1/2
+    sets = [parse_formula("(x^2 - x*y^2 = 0) and (3*x + y^2 - 1 = 0)")]
+    decomp = compatible_decomposition(sets)
+    (x_path,) = [c.index_path for c in decomp.base.cells
+                 if c.coords[0].as_fraction() == Fraction(1, 4)]
+    stack = decomp.stacks[x_path]
+    values = [s.value.as_fraction() for s in stack.sections]
+    assert values == sorted(values)
+    # the basis is x, x - y^2 and 3*x + y^2 - 1, in some order
+    curves = {i for i, q in enumerate(decomp.basis) if q.degree_in("y")}
+    assert len(curves) == 2
+    for half in (Fraction(-1, 2), Fraction(1, 2)):
+        (sec,) = [s for s in stack.sections if s.value.as_fraction() == half]
+        assert sec.indices == curves
+    samples = stack.sector_samples()
+    assert all(a < b for a, b in zip(samples, samples[1:]))
+    members = sorted(tuple(v.as_fraction() for v in c.coords)
+                     for c in decomp.cells if c.memberships[0])
+    assert members == [(0, -1), (0, 1), (Fraction(1, 4), Fraction(-1, 2)),
+                       (Fraction(1, 4), Fraction(1, 2))]
+    for c in decomp.cells:
+        point = c.sample_dict(decomp.variables)
+        assert c.memberships == (decide(sets[0], point),)
