@@ -4,15 +4,17 @@ Polynomials carry an explicit ordered variable tuple; the exponent tuples in
 the term map always have the same length as the variable tuple.  The zero
 polynomial has an empty term map and total degree 0 by convention.
 
-This module is the library's only boundary to sympy.  Factoring,
-discriminants and resultants run on sympy's dense integer polynomials over
-ZZ; no sympy expression is ever built.  Their results are memoised on
-integer keys that hold no variable names, so the same polynomial under
-other names is factored once; the memo keeps the 1,024 most recently used
-answers of all five kernel functions together.  sympy is imported on the
-first memo miss, inside the kernel functions, so work that needs no
-algebra (parsing, format/degree, structure trees, reduction checks) never
-loads it.
+This module is the library's only boundary to sympy, and sympy serves
+only factoring, discriminants and resultants.  They run on sympy's dense
+integer polynomials over ZZ; no sympy expression is ever built.  The
+univariate squarefree part and gcd, which the lifting over rational points
+needs, run on Python ints here.  All five kernel functions are memoised
+together on integer keys that hold no variable names, so the same
+polynomial under other names is factored once; the memo keeps the 1,024
+most recently used answers.  sympy is imported only on a miss of factoring,
+a discriminant or a resultant, inside those kernel functions, so work that
+needs no projection (parsing, format/degree, structure trees, reduction
+checks, stacks over rational points) never loads it.
 """
 
 from __future__ import annotations
@@ -120,8 +122,12 @@ class Polynomial:
         other = self._coerce(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            terms[e] = terms.get(e, Fraction(0)) + c
-        return Polynomial(self.variables, terms)
+            c += terms.get(e, 0)
+            if c:
+                terms[e] = c
+            else:
+                del terms[e]
+        return Polynomial._clean(self.variables, terms)
 
     __radd__ = __add__
 
@@ -267,7 +273,7 @@ class Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# exact algebra through sympy's dense ZZ polynomials
+# exact algebra: sympy's dense ZZ polynomials, and a univariate kernel on ints
 # ---------------------------------------------------------------------------
 # Denominators are cleared on the way in, so a discriminant or resultant is
 # exact up to a nonzero rational factor; callers normalize with .primitive().
@@ -279,8 +285,8 @@ class Polynomial:
 # quantified formula is instantiated with do not defeat the memo, and both
 # are tuples of plain ints, so no caller can change a cached answer.
 #
-# sympy is imported only inside the functions that run on a miss, so the
-# first miss loads it; after that each such import is one dict lookup.
+# sympy is imported only inside the sympy kernel functions, so their first
+# miss loads it; after that each such import is one dict lookup.
 
 _MEMO_SIZE = 1024
 
@@ -372,32 +378,89 @@ def _from_dup(f):
     return list(reversed(f))
 
 
-def _sqf_dup(f):
-    from sympy.polys.domains import ZZ
-    from sympy.polys.sqfreetools import dup_sqf_part
-    return tuple(map(int, dup_sqf_part(list(map(ZZ, f)), ZZ)))
+# The univariate kernel runs on tuples of Python ints, leading coefficient
+# first, with no sympy: a primitive polynomial remainder sequence (Brown and
+# Traub, "On Euclid's algorithm and the theory of subresultants", J. ACM 18,
+# 1971) gives the gcd, and the squarefree part is f / gcd(f, f').
+
+def _primitive(f):
+    """f divided by its content, with a positive leading coefficient."""
+    if not f:
+        return f
+    g = gcd(*f)
+    if f[0] < 0:
+        g = -g
+    return tuple(c // g for c in f)
+
+
+def _prem(f, g):
+    """A pseudo-remainder of f by g (deg f >= deg g >= 1): f times a power
+    of g's leading coefficient, reduced below deg g.  Leading zeros are
+    dropped as they appear, so the power may be lower than the textbook
+    one; the PRS makes every remainder primitive and does not notice."""
+    lc, tail, n = g[0], g[1:], len(g)
+    r = list(f)
+    while len(r) >= n:
+        c = r[0]
+        r = [lc * a - c * b for a, b in zip(r[1:n], tail)] + \
+            [lc * a for a in r[n:]]
+        while r and not r[0]:
+            del r[0]
+    return tuple(r)
 
 
 def _gcd_dup(f, g):
-    from sympy.polys.densetools import dup_primitive
-    from sympy.polys.domains import ZZ
-    from sympy.polys.euclidtools import dup_gcd
-    _, h = dup_primitive(dup_gcd(list(map(ZZ, f)), list(map(ZZ, g)), ZZ), ZZ)
-    return tuple(map(int, h))
+    """The primitive gcd, with positive leading coefficient, of integer
+    polynomials f and g, not both zero: a primitive PRS, which stops at
+    zero or at a constant."""
+    if len(f) < len(g):
+        f, g = g, f
+    f, g = _primitive(f), _primitive(g)
+    while g:
+        if len(g) == 1:
+            return (1,)
+        f, g = g, _primitive(_prem(f, g))
+    return f
+
+
+def _exquo(f, g):
+    """The quotient of f by a nonzero g that divides it in Z[x]."""
+    r, lc = list(f), g[0]
+    q = []
+    for i in range(len(f) - len(g) + 1):
+        c = r[i] // lc
+        q.append(c)
+        if c:
+            for j, b in enumerate(g):
+                r[i + j] -= c * b
+    return tuple(q)
+
+
+def _sqf_dup(f):
+    f = _primitive(f)
+    if len(f) < 2:  # zero, or a constant, which is (1,) once primitive
+        return f
+    n = len(f) - 1
+    df = tuple(c * (n - i) for i, c in enumerate(f[:-1]))
+    # f and the gcd are primitive with positive leading coefficients, so
+    # by Gauss's lemma the quotient is too
+    return _exquo(f, _gcd_dup(f, df))
 
 
 def squarefree_univariate(coeffs):
     """Squarefree part of a nonzero univariate polynomial over the
-    rationals, integer-primitive with positive leading coefficient.  In, a
-    coefficient list of ints (Fractions are scaled to ints first); out, a
-    new list of ints; both indexed by degree."""
+    rationals, integer-primitive with positive leading coefficient, so a
+    nonzero constant gives [1].  In, a coefficient list of ints (Fractions
+    are scaled to ints first); out, a new list of ints; both indexed by
+    degree.  Computed on Python ints, without sympy."""
     return _from_dup(_memo(_sqf_dup, _to_dup(coeffs)))
 
 
 def gcd_univariate(p, q):
     """Greatest common divisor of two nonzero univariate polynomials over
-    the rationals, integer-primitive with positive leading coefficient;
-    lists of ints as in squarefree_univariate."""
+    the rationals, integer-primitive with positive leading coefficient, so
+    a constant argument gives [1]; lists of ints as in
+    squarefree_univariate.  Computed on Python ints, without sympy."""
     return _from_dup(_memo(_gcd_dup, _to_dup(p), _to_dup(q)))
 
 

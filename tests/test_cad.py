@@ -2,7 +2,10 @@
 point location, quantifier decisions."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -541,6 +544,41 @@ def test_lifting_over_rational_points_never_factors(monkeypatch):
     assert Fraction(1, 3) in rationals[Fraction(1, 27)]
     assert any(v.field is not QQ and field_degree(v) == 3
                for v in values[Fraction(2)])
+
+
+NO_SYMPY_LIFTING = """\
+import sys
+sys.modules["sympy"] = None  # any import of sympy now raises ImportError
+from fractions import Fraction
+from sharpcells.cad import build_stack
+from sharpcells.parser import parse_poly
+from sharpcells.realalg import QQ, isolate_roots
+
+basis = [parse_poly(t, ("x", "y")) for t in (
+    "y^3 - x", "x*y^2 - 2", "3*y^3 - y^2 - 3*x*y + x", "y^2 + x*y - 3")]
+for x in (Fraction(-3), Fraction(1, 27), Fraction(2), Fraction(18)):
+    stack = build_stack(QQ, [x], basis)
+    values = [sec.value for sec in stack.sections]
+    print(x, len(values), sum(v.field is QQ for v in values))
+# (y - 1)^2 * (y^2 - 2): the repeated factor takes the division path
+roots = isolate_roots(QQ, [-2, 4, -1, -2, 1])
+print(len(roots), [r.sqf for r in roots if not r.is_rational()])
+"""
+
+
+def test_lifting_over_rational_points_imports_no_sympy():
+    # a stack over a rational point runs on Python ints alone: restriction,
+    # squarefree part, root isolation, ordering, gcd and the rational roots
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(os.path.abspath(cad_module.__file__))))
+    done = subprocess.run([sys.executable, "-c", NO_SYMPY_LIFTING], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    # sections and rational ones per x; 1 is found exactly, +-sqrt(2) by
+    # the squarefree part (y - 1)(y^2 - 2)
+    assert done.stdout.splitlines() == [
+        "-3 4 1", "1/27 7 1", "2 7 4", "18 7 2",
+        "3 [[2, -2, -1, 1], [2, -2, -1, 1]]"]
 
 
 @st.composite

@@ -382,6 +382,108 @@ def test_memoised_univariate_kernel_matches_dense_sympy(case):
         from_dup(dup_primitive(dup_gcd(f, g, ZZ), ZZ)[1])
 
 
+def to_dup(coeffs):
+    """A degree-indexed coefficient list as sympy's dense ZZ polynomial,
+    with denominators cleared by their least common multiple."""
+    denom = lcm(*(Fraction(c).denominator for c in coeffs))
+    return [ZZ(int(c * denom)) for c in reversed(coeffs)]
+
+
+def sympy_sqf(p):
+    return from_dup(dup_sqf_part(to_dup(p), ZZ))
+
+
+def sympy_gcd(p, q):
+    return from_dup(dup_primitive(dup_gcd(to_dup(p), to_dup(q), ZZ), ZZ)[1])
+
+
+@pytest.mark.parametrize("coeffs, sqf", [
+    ([5], [1]),                                   # nonzero constants
+    ([-3], [1]),
+    ([Fraction(2, 3)], [1]),
+    ([-1, 2, -1], [-1, 1]),                       # -(x - 1)^2
+    ([-1, 0, 0, -1], [1, 0, 0, 1]),               # -(x^3 + 1)
+    ([6, -12, 6], [-1, 1]),                       # 6 (x - 1)^2
+    ([-4, 0, 4], [-1, 0, 1]),                     # 4 (x^2 - 1)
+    ([Fraction(1, 4), Fraction(-1), Fraction(1)], [-1, 2]),  # (x - 1/2)^2
+    ([Fraction(-9, 2), 3, Fraction(-1, 2)], [-3, 1]),        # -(x - 3)^2 / 2
+    ([0, 0, 0, 2], [0, 1]),                       # 2 x^3
+])
+def test_squarefree_conventions(coeffs, sqf):
+    assert cold_and_warm(squarefree_univariate, coeffs) == sqf
+    assert sqf == sympy_sqf(coeffs)
+
+
+@pytest.mark.parametrize("p, q, g", [
+    ([5], [1, 1], [1]),                           # a constant argument
+    ([-1, 0, 1], [Fraction(1, 2)], [1]),
+    ([-7], [-3], [1]),
+    ([1, 0, -1], [-2, 2], [-1, 1]),               # -(x - 1)(x + 1), 2 (x - 1)
+    ([-6, 0, 6], [0, 0, -4], [1]),                # not primitive, coprime
+    ([Fraction(1, 4), Fraction(-1), Fraction(1)], [Fraction(-1, 3), Fraction(2, 3)],
+     [-1, 2]),                                    # (x - 1/2)^2, (2x - 1) / 3
+])
+def test_gcd_conventions(p, q, g):
+    assert cold_and_warm(gcd_univariate, p, q) == g
+    assert cold_and_warm(gcd_univariate, q, p) == g
+    assert g == sympy_gcd(p, q)
+
+
+@st.composite
+def factored_pairs(draw):
+    """Two products of powers of shared integer factors, as coefficient
+    lists: exponents up to 4, each product of degree at most 16, and factor
+    coefficients up to 2^60.  The first product repeats every factor it
+    takes, so the squarefree part divides by a nontrivial gcd."""
+    factor = st.dictionaries(st.tuples(st.integers(0, 3)),
+                             st.integers(-2**60, 2**60), min_size=1).map(
+        lambda terms: Polynomial(("x",), terms)).filter(
+        lambda f: not f.is_zero())
+    factors = draw(st.lists(factor, min_size=1, max_size=5))
+    products = []
+    for low in (2, 0):
+        f = Polynomial.constant(draw(st.integers(-6, 6).filter(bool)), ("x",))
+        for g in factors:
+            for _ in range(draw(st.integers(low, 4))):
+                if f.degree_in("x") + g.degree_in("x") <= 16:
+                    f = f * g
+        products.append([c.constant_value() for c in f.coeffs_in_last()])
+    return products
+
+
+@settings(max_examples=60, deadline=None)
+@given(factored_pairs())
+def test_native_kernel_matches_sympy_on_repeated_factors(case):
+    p, q = case
+    assert cold_and_warm(squarefree_univariate, p) == sympy_sqf(p)
+    assert cold_and_warm(squarefree_univariate, q) == sympy_sqf(q)
+    assert cold_and_warm(gcd_univariate, p, q) == sympy_gcd(p, q)
+
+
+small_polys = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    st.sampled_from([Fraction(c) for c in (-2, -1, Fraction(-1, 2),
+                                           Fraction(1, 2), 1, 2)]),
+    max_size=6).map(lambda terms: Polynomial(("x", "y"), terms))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(small_polys, min_size=1, max_size=5))
+def test_sums_equal_the_checking_constructor(polys):
+    # few monomials and coefficients, so terms often cancel
+    total = polys[0]
+    for p in polys[1:]:
+        merged = {e: total.terms.get(e, 0) + p.terms.get(e, 0)
+                  for e in {**total.terms, **p.terms}}
+        expected = Polynomial(total.variables, merged)
+        total = total + p
+        assert total == expected
+        assert all(type(c) is Fraction and c for c in total.terms.values())
+    assert total + 0 == total and (total + 1) - 1 == total
+    for p in polys:
+        assert (p - p).terms == {}
+
+
 def test_callers_cannot_change_memoised_answers():
     p = parse_poly("x^2*y - y^3 + x", ("x", "y"))
     q = parse_poly("x*y^2 - 2*x + 1", ("x", "y"))
